@@ -115,7 +115,17 @@ struct Golden {
     samples: u64,
     intra_reads: u64,
     inter_checks: u64,
+    /// Simulated samples/s (`TrainResult::throughput`): pins the simulated
+    /// schedule, which the training math alone does not.
+    throughput: f64,
+    /// Bytes per traffic class: embed data, keys/clocks, AllReduce.
+    traffic_bytes: [u64; 3],
 }
+
+/// Relative tolerance on the pinned simulated throughput. The schedule is
+/// deterministic, but a barrier clock carried at a different float width
+/// may move it by a rounding step; anything larger is a schedule change.
+const THROUGHPUT_REL_TOL: f64 = 1e-5;
 
 /// Pinned by running the suite once and copying the printed rows; see
 /// `seed_sweep_matches_goldens` for the regeneration procedure. The runs
@@ -123,15 +133,15 @@ struct Golden {
 /// write-backs), so these are equality pins, not statistical checks.
 #[rustfmt::skip]
 const GOLDENS: &[Golden] = &[
-    Golden { strategy: "bsp", seed: 42, final_auc: 0.6422222222222222, train_loss: 0.5607099285714285, samples: 3584, intra_reads: 112, inter_checks: 279 },
-    Golden { strategy: "bsp", seed: 1337, final_auc: 0.6518055555555555, train_loss: 0.5622487142857143, samples: 3584, intra_reads: 112, inter_checks: 279 },
-    Golden { strategy: "bsp", seed: 2026, final_auc: 0.6430555555555556, train_loss: 0.5601504285714286, samples: 3584, intra_reads: 112, inter_checks: 279 },
-    Golden { strategy: "ssp", seed: 42, final_auc: 0.6445833333333333, train_loss: 0.5611476428571429, samples: 3584, intra_reads: 112, inter_checks: 279 },
-    Golden { strategy: "ssp", seed: 1337, final_auc: 0.6526388888888889, train_loss: 0.5621735, samples: 3584, intra_reads: 112, inter_checks: 279 },
-    Golden { strategy: "ssp", seed: 2026, final_auc: 0.6495833333333333, train_loss: 0.5605652857142858, samples: 3584, intra_reads: 112, inter_checks: 279 },
-    Golden { strategy: "asp", seed: 42, final_auc: 0.6445833333333333, train_loss: 0.5611476428571429, samples: 3584, intra_reads: 112, inter_checks: 0 },
-    Golden { strategy: "asp", seed: 1337, final_auc: 0.6526388888888889, train_loss: 0.5621735, samples: 3584, intra_reads: 112, inter_checks: 0 },
-    Golden { strategy: "asp", seed: 2026, final_auc: 0.6495833333333333, train_loss: 0.5605652857142858, samples: 3584, intra_reads: 112, inter_checks: 0 },
+    Golden { strategy: "bsp", seed: 42, final_auc: 0.6422222222222222, train_loss: 0.5607099285714285, samples: 3584, intra_reads: 112, inter_checks: 279, throughput: 5101367.897912046, traffic_bytes: [114176, 42816, 338912] },
+    Golden { strategy: "bsp", seed: 1337, final_auc: 0.6518055555555555, train_loss: 0.5622487142857143, samples: 3584, intra_reads: 112, inter_checks: 279, throughput: 5101367.897912046, traffic_bytes: [114176, 42816, 338912] },
+    Golden { strategy: "bsp", seed: 2026, final_auc: 0.6430555555555556, train_loss: 0.5601504285714286, samples: 3584, intra_reads: 112, inter_checks: 279, throughput: 5101367.897912046, traffic_bytes: [114176, 42816, 338912] },
+    Golden { strategy: "ssp", seed: 42, final_auc: 0.6445833333333333, train_loss: 0.5611476428571429, samples: 3584, intra_reads: 112, inter_checks: 279, throughput: 5015940.400208778, traffic_bytes: [108032, 41664, 338912] },
+    Golden { strategy: "ssp", seed: 1337, final_auc: 0.6526388888888889, train_loss: 0.5621735, samples: 3584, intra_reads: 112, inter_checks: 279, throughput: 5015940.400208778, traffic_bytes: [108032, 41664, 338912] },
+    Golden { strategy: "ssp", seed: 2026, final_auc: 0.6495833333333333, train_loss: 0.5605652857142858, samples: 3584, intra_reads: 112, inter_checks: 279, throughput: 5015940.400208778, traffic_bytes: [108032, 41664, 338912] },
+    Golden { strategy: "asp", seed: 42, final_auc: 0.6445833333333333, train_loss: 0.5611476428571429, samples: 3584, intra_reads: 112, inter_checks: 0, throughput: 5016333.665767944, traffic_bytes: [108032, 40320, 338912] },
+    Golden { strategy: "asp", seed: 1337, final_auc: 0.6526388888888889, train_loss: 0.5621735, samples: 3584, intra_reads: 112, inter_checks: 0, throughput: 5016333.665767944, traffic_bytes: [108032, 40320, 338912] },
+    Golden { strategy: "asp", seed: 2026, final_auc: 0.6495833333333333, train_loss: 0.5605652857142858, samples: 3584, intra_reads: 112, inter_checks: 0, throughput: 5016333.665767944, traffic_bytes: [108032, 40320, 338912] },
 ];
 
 fn golden_run(strategy: &str, seed: u64) -> het_gmp::core::trainer::TrainResult {
@@ -317,8 +327,14 @@ fn seed_sweep_matches_goldens() {
             rows.push_str(&format!(
                 "Golden {{ strategy: \"{strategy}\", seed: {seed}, final_auc: \
                  {:?}, train_loss: {:?}, samples: {}, intra_reads: {}, \
-                 inter_checks: {} }},\n",
-                r.final_auc, loss, r.samples_processed, audit.intra_reads, audit.inter_checks,
+                 inter_checks: {}, throughput: {:?}, traffic_bytes: {:?} }},\n",
+                r.final_auc,
+                loss,
+                r.samples_processed,
+                audit.intra_reads,
+                audit.inter_checks,
+                r.throughput,
+                r.traffic_bytes,
             ));
             let Some(g) = GOLDENS
                 .iter()
@@ -343,6 +359,18 @@ fn seed_sweep_matches_goldens() {
                 failures.push(format!(
                     "{strategy}/{seed}: samples {} != {}",
                     r.samples_processed, g.samples
+                ));
+            }
+            if r.traffic_bytes != g.traffic_bytes {
+                failures.push(format!(
+                    "{strategy}/{seed}: traffic {:?} != {:?}",
+                    r.traffic_bytes, g.traffic_bytes
+                ));
+            }
+            if ((r.throughput - g.throughput) / g.throughput).abs() > THROUGHPUT_REL_TOL {
+                failures.push(format!(
+                    "{strategy}/{seed}: simulated throughput {:?} != {:?}",
+                    r.throughput, g.throughput
                 ));
             }
             if (audit.intra_reads, audit.inter_checks) != (g.intra_reads, g.inter_checks) {
