@@ -4,7 +4,7 @@
 CARGO ?= cargo
 
 .PHONY: build test clippy lint-metrics fault-matrix inspect-smoke tsan \
-	verify bench bench-baseline bench-smoke bench-dense bench-dense-smoke \
+	perfbench-smoke verify bench bench-baseline bench-smoke bench-dense bench-dense-smoke \
 	bench-pipeline bench-pipeline-smoke bench-comms bench-comms-smoke \
 	bench-capacity bench-capacity-smoke bench-schema clean
 
@@ -34,6 +34,13 @@ fault-matrix: build
 inspect-smoke: build
 	sh scripts/inspect_smoke.sh
 
+# One-second run of every benchmark workload (perfbench/run.py, declared
+# in BENCHMARK.json) at seed 1; each result line must report
+# "correct": true and "failed": 0. The benchmark builds itself into
+# .bench_build.
+perfbench-smoke:
+	sh scripts/perfbench_smoke.sh
+
 # ThreadSanitizer over the seqlock read path's concurrent test suite.
 # Needs a nightly toolchain (-Zsanitizer=thread is unstable); the script
 # skips with a notice when nightly is absent, so this target is safe to
@@ -44,8 +51,9 @@ tsan:
 
 # The gate every change must pass: release build, full test suite, clippy
 # with warnings denied, metric-name lint, the fault-injection matrix, the
-# perf-baseline schema check, and the inspect smoke.
-verify: build test clippy lint-metrics fault-matrix bench-schema inspect-smoke
+# perf-baseline schema check, the inspect smoke, and the benchmark smoke.
+verify: build test clippy lint-metrics fault-matrix bench-schema inspect-smoke \
+	perfbench-smoke
 
 bench:
 	$(CARGO) bench --offline --workspace

@@ -20,10 +20,9 @@
 //! less work per sample (fewer rendezvous) even when wall clock is noisy.
 //! ```
 //!
-//! Depth 1 is the classic sequential schedule. Depth >= 2 issues each
-//! batch's embedding read one iteration ahead through the work-stealing
-//! prefetch cell and replaces the sequential schedule's per-rank write-back
-//! barriers with a token ring plus one writes-done rendezvous — the schema
+//! Every depth runs the same iteration schedule. Depth 1 fetches every
+//! batch inline; depth >= 2 issues each batch's embedding read one
+//! iteration ahead through the work-stealing prefetch cell — the schema
 //! check asserts depth 2 beats the committed dense baseline. Depth 4
 //! behaves like depth 2 (the write-back dependency caps useful lookahead at
 //! one batch); it is benchmarked to document exactly that.
@@ -181,12 +180,12 @@ fn main() {
     let rates: Vec<f64> = best.iter().map(|b| b.samples_per_sec).collect();
     let aucs: Vec<f64> = best.iter().map(|b| b.auc).collect();
     // The determinism contract is part of the benchmark: a depth that went
-    // faster by diverging from the sequential math is not a result.
+    // faster by diverging from the depth-1 math is not a result.
     for (d, auc) in DEPTHS.iter().zip(&aucs) {
         assert_eq!(
             auc.to_bits(),
             aucs[0].to_bits(),
-            "depth {d} final AUC differs from sequential"
+            "depth {d} final AUC differs from depth 1"
         );
     }
     let speedup = rates[1] / rates[0].max(1e-12);
@@ -218,5 +217,5 @@ fn main() {
     // the committed full-run baseline.
     let path = if smoke { "BENCH_pipeline.smoke.json" } else { "BENCH_pipeline.json" };
     std::fs::write(path, doc.render() + "\n").expect("write BENCH_pipeline json");
-    println!("wrote {path} (depth-2 speedup {speedup:.3}x over sequential)");
+    println!("wrote {path} (depth-2 speedup {speedup:.3}x over depth 1)");
 }

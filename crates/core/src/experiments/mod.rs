@@ -58,7 +58,7 @@ pub struct Hooks {
     /// Protocol-audit mode applied to every trainer run.
     pub audit: AuditMode,
     /// Software-pipeline depth applied to every trainer run (`None` keeps
-    /// each runner's default of 1, the sequential schedule).
+    /// each runner's default of 1: the same schedule with no prefetch).
     pub pipeline_depth: Option<usize>,
     /// Worker threads per dense GEMM applied to every trainer run (`None`
     /// keeps each runner's default of 1, sequential kernels).

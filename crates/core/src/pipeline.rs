@@ -1,5 +1,5 @@
 //! The stage-based batch runtime: one worker's inner training loop,
-//! restructured as a software pipeline over [`StepCtx`] batch slots.
+//! structured as a software pipeline over [`StepCtx`] batch slots.
 //!
 //! ## Stages
 //!
@@ -11,49 +11,60 @@
 //!    read)           fwd/bwd)     write-back)    + BSP barrier)
 //! ```
 //!
-//! At `pipeline_depth == 1` the loop is the classic fully sequential
-//! schedule — one slot, every stage in program order, per-rank write-back
-//! barriers — byte-for-byte the pre-pipeline trainer.
+//! ## One schedule at every depth
 //!
-//! At `pipeline_depth >= 2` the runtime overlaps batch `i+1`'s Fetch with
-//! batch `i`'s Sync: the main thread publishes the next fetch into a
-//! work-stealing [`PrefetchCell`], a companion thread (spawned per epoch
-//! inside a nested [`std::thread::scope`]) claims it while the main thread
-//! blocks in collectives, and the main thread steals the job back and runs
-//! it inline if the companion never got scheduled — so an oversubscribed
-//! host degrades to the sequential fetch cost instead of paying a
-//! cross-thread handoff per batch. The worker's [`EmbeddingWorker`] handle
-//! travels with the job; ownership ping-pongs, nothing is shared. The
-//! pipelined schedule also replaces the sequential loop's per-rank
-//! write-back barriers (`n + 1` full rendezvous per iteration) with one
-//! token ring ([`AllReduceGroup::in_rank_order`]) plus a writes-done
-//! rendezvous (the strict-audit abort vote doubles as it when auditing is
-//! on), fuses the dense mean-AllReduce and BSP clock-max barriers into one
-//! collective ([`AllReduceGroup::fused_mean_max`]), and skips the fault
-//! fence entirely when the fault schedule is empty.
+//! [`run_worker_epoch`] runs the same iteration at every `pipeline_depth`:
 //!
-//! ## Buffer ownership
+//! 1. **Fetch** batch `i`: collect the prefetch issued during iteration
+//!    `i-1`, or read inline;
+//! 2. a reads-done rendezvous, so no read races a peer's write-back;
+//! 3. **Compute** the dense forward/backward;
+//! 4. **Push** the embedding gradients through one token ring
+//!    ([`AllReduceGroup::in_rank_order`]), a canonical rank-ascending
+//!    serialization of the shared-table writes;
+//! 5. charge the batch's simulated time, then handle due injected faults
+//!    behind a rollback-visibility fence (skipped when the run's fault
+//!    schedule is empty);
+//! 6. the strict-audit abort vote, when auditing is on;
+//! 7. at depth >= 2, publish the fetch of batch `i+1`;
+//! 8. **Sync** the dense gradients: under BSP one
+//!    [`AllReduceGroup::fused_mean_max`] carries both the gradient mean and
+//!    the simulated-clock barrier; ASP and PS runs take a plain mean.
 //!
-//! Each [`StepCtx`] owns the *entire* per-batch working set — embedding
-//! input matrix, labels, loss/input gradients, and the dense
-//! [`ModelTape`] arena — so a slot can be handed to the companion thread
-//! (and back) without any sharing; the main thread keeps only per-worker
-//! state (model, clock, cursor, dense-gradient buffer).
+//! Depth 1 is the degenerate schedule: step 7 never runs and no companion
+//! thread spawns, so every fetch runs inline at step 1.
+//!
+//! At depth >= 2, step 7 publishes the next fetch into a work-stealing
+//! [`PrefetchCell`]. A companion thread (spawned per epoch inside a nested
+//! [`std::thread::scope`]) claims it while the main thread blocks in the
+//! dense collective, and the main thread steals the job back and runs it
+//! inline if the companion never got scheduled — so an oversubscribed host
+//! degrades to the depth-1 fetch cost instead of paying a cross-thread
+//! handoff per batch. The worker's [`EmbeddingWorker`] handle travels with
+//! the job; ownership ping-pongs, nothing is shared.
+//!
+//! ## State
+//!
+//! Three structs carry everything the loop touches: [`RunCtx`] (run-wide,
+//! shared by every worker), [`Worker`] (one worker's persistent state) and
+//! [`EpochInputs`] (what changes per epoch). Each [`StepCtx`] owns the
+//! *entire* per-batch working set — embedding input matrix, labels,
+//! loss/input gradients, and the dense [`ModelTape`] arena — so a slot can
+//! be handed to the companion thread (and back) without any sharing.
 //!
 //! ## Determinism contract
 //!
 //! On fault-free runs, losses, AUC and checkpoints are **bit-identical**
 //! across every `pipeline_depth` and `gemm_threads` setting:
 //!
-//! * reads-before-writes is preserved — a prefetch for batch `i+1` is only
-//!   issued after the writes-done rendezvous of batch `i` (an explicit
-//!   barrier, or the abort vote when auditing is on), and no peer can begin
-//!   batch `i+1` write-backs until every worker has consumed its prefetch
-//!   (the reads-done fence);
-//! * write-backs keep the same canonical rank-ascending serialization (the
-//!   token ring realizes exactly the order the barrier loop realized);
-//! * the fused collective reuses the value-sorted summation of the plain
-//!   mean-AllReduce, so gradient means match bitwise;
+//! * reads-before-writes is preserved — the fetch of batch `i+1` executes
+//!   only after every rank's batch-`i` write-back (ordered by an explicit
+//!   barrier, the abort vote, or the dense collective that precedes an
+//!   inline read), and no peer can begin batch `i+1` write-backs until
+//!   every worker has consumed its fetch (the reads-done fence);
+//! * write-backs keep the same canonical rank-ascending serialization at
+//!   every depth (the token ring);
+//! * the dense mean is the same value-sorted summation at every depth;
 //! * row-panel parallel GEMMs ([`GemmPool`]) split only the output rows,
 //!   never a reduction, so they match the sequential kernels bitwise.
 //!
@@ -208,8 +219,7 @@ pub(crate) struct PipelineStats {
     /// (deterministic issue-order count, not an executed-on-companion
     /// count).
     pub(crate) prefetched: u64,
-    /// Batches executed by the *pipelined* path (depth >= 2); the
-    /// occupancy denominator. Stays 0 on the sequential path.
+    /// Batches executed, at every depth; the occupancy denominator.
     pub(crate) batches: u64,
 }
 
@@ -395,53 +405,89 @@ impl PipelineDriver {
     }
 }
 
-/// All the borrowed context one worker needs for one epoch.
-pub(crate) struct WorkerEpoch<'a, 'b, 'd> {
-    pub(crate) w: usize,
-    pub(crate) shard: &'a [u32],
-    pub(crate) dataset: &'d CtrDataset,
-    pub(crate) emb: &'a mut (dyn EmbeddingWorker + 'b),
-    pub(crate) model: &'a mut CtrModel,
-    pub(crate) slots: &'a mut Vec<StepCtx>,
-    pub(crate) pstats: &'a mut PipelineStats,
-    pub(crate) pool: Option<Arc<GemmPool>>,
-    pub(crate) clock: &'a mut SimClock,
-    pub(crate) cursor: &'a mut usize,
+/// The run-wide context every worker thread borrows for the whole run:
+/// configuration, the shared table and collectives, the cost model, and the
+/// run's atomic training counters. Read-only apart from the atomics.
+pub(crate) struct RunCtx<'r> {
+    pub(crate) dataset: &'r CtrDataset,
+    pub(crate) cfg: &'r TrainerConfig,
+    pub(crate) strategy: &'r StrategyConfig,
+    pub(crate) cost: &'r CostModel,
+    pub(crate) group: &'r AllReduceGroup,
+    pub(crate) ledger: &'r TrafficLedger,
+    pub(crate) table: &'r dyn RowStore,
+    pub(crate) partition: &'r Partition,
+    pub(crate) faults: &'r FaultSchedule,
+    pub(crate) tracer: Option<&'r TraceCollector>,
+    pub(crate) auditor: Option<&'r ProtocolAuditor>,
+    /// Iterations per worker per epoch.
     pub(crate) iters: usize,
-    pub(crate) epoch: usize,
-    pub(crate) cfg: &'a TrainerConfig,
-    pub(crate) strategy: &'a StrategyConfig,
-    pub(crate) topology: &'a Topology,
-    pub(crate) cost: &'a CostModel,
-    pub(crate) group: &'a AllReduceGroup,
-    pub(crate) ledger: &'a TrafficLedger,
+    /// Dense-gradient payload bytes per AllReduce (in the wire format).
     pub(crate) dense_bytes: u64,
     pub(crate) flops_per_sample: f64,
-    pub(crate) samples: &'a AtomicU64,
-    pub(crate) loss_sum_micro: &'a AtomicU64,
-    pub(crate) loss_batches: &'a AtomicU64,
-    pub(crate) compute_scale: f64,
-    pub(crate) batch_size: usize,
-    pub(crate) tracer: Option<&'a TraceCollector>,
-    pub(crate) auditor: Option<&'a ProtocolAuditor>,
-    pub(crate) table: &'a dyn RowStore,
-    pub(crate) partition: &'a Partition,
-    pub(crate) faults: &'a FaultSchedule,
-    pub(crate) fstate: &'a mut WorkerFaultState,
-    pub(crate) image: Option<Arc<CheckpointImage>>,
-    pub(crate) nonfinite: &'a AtomicU64,
-    pub(crate) recorder: Arc<dyn Recorder>,
-    pub(crate) profiler: &'a mut StageProfiler,
+    /// Samples trained, summed over workers and epochs.
+    pub(crate) samples: AtomicU64,
+    /// This epoch's summed batch loss, in fixed-point micro-units.
+    pub(crate) loss_sum_micro: AtomicU64,
+    /// This epoch's batches with a finite loss.
+    pub(crate) loss_batches: AtomicU64,
+    /// Batches whose loss came out non-finite, over the whole run.
+    pub(crate) nonfinite: AtomicU64,
 }
 
-/// Runs one worker's epoch, dispatching on the configured depth: depth 1 is
-/// the classic sequential schedule, depth >= 2 the prefetching pipeline.
-pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
-    if ctx.cfg.pipeline_depth >= 2 {
-        run_epoch_pipelined(ctx)
-    } else {
-        run_epoch_sequential(ctx)
+impl RunCtx<'_> {
+    /// BSP runs close every iteration with a simulated-clock barrier.
+    fn is_bsp(&self) -> bool {
+        matches!(self.strategy.dense_sync, DenseSync::AllReduce)
+            && matches!(self.strategy.embed_home, EmbedHome::Gpu)
     }
+
+    /// Wire bytes of one embedding row in the configured sync format.
+    fn row_bytes(&self) -> u64 {
+        self.cfg.sync_format.row_wire_bytes(self.cfg.dim)
+    }
+
+    /// Whether *any* worker can fault this run. Uniform across workers, so
+    /// every worker's collective schedule agrees on the fault fences.
+    fn have_faults(&self) -> bool {
+        (0..self.group.num_participants()).any(|p| !self.faults.worker_faults(p).is_empty())
+    }
+}
+
+/// One worker's persistent state: owned by the trainer across epochs and
+/// lent to the worker's thread for one epoch at a time. The worker's
+/// [`EmbeddingWorker`] handle is lent alongside rather than stored here,
+/// because it travels into the prefetch cell while the rest stays on the
+/// worker's main thread.
+pub(crate) struct Worker {
+    /// The worker's rank.
+    pub(crate) w: usize,
+    /// Dataset indices of the worker's training samples.
+    pub(crate) shard: Vec<u32>,
+    /// Persistent wrap-around position in `shard`.
+    pub(crate) cursor: usize,
+    pub(crate) batch_size: usize,
+    /// Compute slowdown factor (1.0 = nominal accelerator).
+    pub(crate) compute_scale: f64,
+    pub(crate) model: CtrModel,
+    pub(crate) clock: SimClock,
+    /// The [`StepCtx`] slot pool, one slot per unit of pipeline depth.
+    pub(crate) slots: Vec<StepCtx>,
+    /// Row-panel GEMM helpers (`gemm_threads >= 2`).
+    pub(crate) pool: Option<Arc<GemmPool>>,
+    pub(crate) recorder: Arc<dyn Recorder>,
+    pub(crate) profiler: StageProfiler,
+    pub(crate) pstats: PipelineStats,
+    pub(crate) fstate: WorkerFaultState,
+}
+
+/// What changes from one epoch to the next, shared by every worker.
+pub(crate) struct EpochInputs<'e> {
+    /// 1-based epoch number.
+    pub(crate) epoch: usize,
+    /// The image a crash rolls back to; `None` when the fault schedule has
+    /// no crashes.
+    pub(crate) image: Option<&'e CheckpointImage>,
 }
 
 /// A prefetch request: the worker's embedding handle travels into the
@@ -456,24 +502,24 @@ struct FetchDone<'a, 'b> {
     emb: &'a mut (dyn EmbeddingWorker + 'b),
     ctx: StepCtx,
     /// Wall seconds the fetch took *on the companion thread*; 0.0 when the
-    /// main thread stole the job back and ran it inline.
+    /// main thread ran it.
     fetch_secs: f64,
 }
 
 /// The work-stealing handoff between a worker's main thread and its fetch
 /// companion. The main thread publishes the next batch's fetch job right
-/// after the write-back rendezvous; the companion claims it whenever the OS
-/// schedules it — typically while the main thread is blocked inside the
-/// dense collective, which is exactly the window the prefetch is meant to
-/// fill. If the companion has *not* claimed the job by the time the main
-/// thread needs the batch, the main thread steals it back and runs the
-/// fetch inline: the degenerate case costs one uncontended mutex
-/// acquisition instead of a cross-thread handoff (park + unpark), which is
-/// what keeps depth >= 2 from regressing on a saturated host.
+/// after the write-back; the companion claims it whenever the OS schedules
+/// it — typically while the main thread is blocked inside the dense
+/// collective, which is exactly the window the prefetch is meant to fill.
+/// If the companion has *not* claimed the job by the time the main thread
+/// needs the batch, the main thread steals it back and runs the fetch
+/// inline: the degenerate case costs one uncontended mutex acquisition
+/// instead of a cross-thread handoff (park + unpark), which is what keeps
+/// depth >= 2 from regressing on a saturated host.
 ///
 /// Determinism: which thread executes the fetch is OS-scheduling dependent,
 /// but the fetch itself is the same pure read either way (the table is
-/// quiescent between the write-back rendezvous and the next reads-done
+/// quiescent between the writes-done ordering point and the next reads-done
 /// fence). `StepCtx::prefetched` therefore records *issue* order — set when
 /// the job is published, deterministic — and only the wall-clock fields of
 /// [`PipelineStats`] (`stall_secs`, `prefetch_secs`) record what the
@@ -500,13 +546,67 @@ enum PrefetchState<'a, 'b> {
     Shutdown,
 }
 
+impl<'a, 'b> PrefetchCell<'a, 'b> {
+    fn new() -> Self {
+        Self {
+            state: Mutex::new(PrefetchState::Idle),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, PrefetchState<'a, 'b>> {
+        self.state.lock().expect("prefetch cell poisoned")
+    }
+
+    /// Publishes the next batch's fetch; wakes the companion only when the
+    /// job is `offered` to it.
+    fn publish(&self, job: FetchJob<'a, 'b>, offered: bool) {
+        *self.lock() = PrefetchState::Published { job, offered };
+        if offered {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Collects the in-flight job. An unclaimed job is stolen back and run
+    /// through `fetch` on the caller's thread; a claimed one is waited for,
+    /// and the wait is returned as the stage stall (`None` after a steal).
+    fn collect(
+        &self,
+        fetch: impl FnOnce(FetchJob<'a, 'b>) -> FetchDone<'a, 'b>,
+    ) -> (FetchDone<'a, 'b>, Option<f64>) {
+        let mut st = self.lock();
+        if let PrefetchState::Published { .. } = &*st {
+            let PrefetchState::Published { job, .. } =
+                std::mem::replace(&mut *st, PrefetchState::Idle)
+            else {
+                unreachable!()
+            };
+            drop(st);
+            return (fetch(job), None);
+        }
+        let wait = Instant::now();
+        while !matches!(&*st, PrefetchState::Done(_)) {
+            st = self.ready.wait(st).expect("prefetch cell poisoned");
+        }
+        let PrefetchState::Done(done) = std::mem::replace(&mut *st, PrefetchState::Idle) else {
+            unreachable!()
+        };
+        (done, Some(wait.elapsed().as_secs_f64()))
+    }
+
+    /// Ends the epoch: the companion's wait loop exits.
+    fn shutdown(&self) {
+        *self.lock() = PrefetchState::Shutdown;
+        self.ready.notify_all();
+    }
+}
+
 /// Runs one fetch job to completion: sample-slice assembly plus the batched
-/// embedding read. Shared by the companion thread and the steal-back path so
-/// both executors run byte-for-byte the same read.
+/// embedding read. Shared by the main thread and the companion so both
+/// executors run byte-for-byte the same read.
 fn execute_fetch<'a, 'b, 'd>(
     job: FetchJob<'a, 'b>,
     dataset: &'d CtrDataset,
-    fields: usize,
     dim: usize,
     slices: &mut Vec<&'d [u32]>,
 ) -> FetchDone<'a, 'b> {
@@ -514,7 +614,7 @@ fn execute_fetch<'a, 'b, 'd>(
     slices.clear();
     slices.extend(ctx.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
     if !slices.is_empty() {
-        ctx.input.reset(slices.len(), fields * dim);
+        ctx.input.reset(slices.len(), dataset.num_fields * dim);
         ctx.read_report = emb.read_batch(slices, ctx.input.data_mut());
     } else {
         ctx.read_report = ReadReport::default();
@@ -522,19 +622,13 @@ fn execute_fetch<'a, 'b, 'd>(
     FetchDone { emb, ctx, fetch_secs: 0.0 }
 }
 
-/// The companion thread body: claim published jobs until shutdown. It only
+/// The companion thread body: claim offered jobs until shutdown. It only
 /// ever touches state it exclusively owns (the claimed job's emb + slot).
-fn companion_loop(
-    cell: &PrefetchCell<'_, '_>,
-    dataset: &CtrDataset,
-    fields: usize,
-    dim: usize,
-    batch_size: usize,
-) {
-    let mut slices: Vec<&[u32]> = Vec::with_capacity(batch_size);
+fn companion_loop(cell: &PrefetchCell<'_, '_>, dataset: &CtrDataset, dim: usize, batch: usize) {
+    let mut slices: Vec<&[u32]> = Vec::with_capacity(batch);
     loop {
         let job = {
-            let mut st = cell.state.lock().expect("prefetch cell poisoned");
+            let mut st = cell.lock();
             loop {
                 match &*st {
                     PrefetchState::Published { offered: true, .. } => {
@@ -551,532 +645,248 @@ fn companion_loop(
             }
         };
         let t0 = Instant::now();
-        let mut done = execute_fetch(job, dataset, fields, dim, &mut slices);
+        let mut done = execute_fetch(job, dataset, dim, &mut slices);
         done.fetch_secs = t0.elapsed().as_secs_f64();
-        let mut st = cell.state.lock().expect("prefetch cell poisoned");
-        *st = PrefetchState::Done(done);
+        *cell.lock() = PrefetchState::Done(done);
         cell.ready.notify_all();
     }
 }
 
-// ---------------------------------------------------------------------------
-// Depth 1: the classic sequential schedule.
-// ---------------------------------------------------------------------------
+/// Runs one worker's epoch: `run.iters` iterations of the one schedule
+/// described in the module docs. At depth 1 no prefetch is published and no
+/// companion thread spawns; every fetch runs inline.
+pub(crate) fn run_worker_epoch(
+    run: &RunCtx<'_>,
+    epoch: &EpochInputs<'_>,
+    worker: &mut Worker,
+    emb: &mut (dyn EmbeddingWorker + '_),
+) {
+    let (dataset, cfg, group, tracer) = (run.dataset, run.cfg, run.group, run.tracer);
+    let (w, dim, batch_size) = (worker.w, cfg.dim, worker.batch_size);
+    let epoch_start = worker.clock.now();
+    let prefetch = cfg.pipeline_depth >= 2;
+    let have_faults = run.have_faults();
+    // Offer a published fetch to the companion only when the host has cores
+    // to spare beyond the worker main threads. On an oversubscribed host the
+    // freshly-woken companion wins the scheduler's favor, claims the job,
+    // and the main thread later blocks on it — a net loss over just running
+    // the fetch inline, which the steal-back path does for free. This only
+    // decides who is *likely* to run the fetch, which the determinism
+    // contract is explicitly independent of.
+    let offer = prefetch
+        && std::thread::available_parallelism()
+            .map(|c| c.get())
+            .unwrap_or(1)
+            > group.num_participants();
 
-fn run_epoch_sequential(ctx: WorkerEpoch<'_, '_, '_>) {
-    let WorkerEpoch {
-        w,
-        shard,
-        dataset,
-        emb,
-        model,
-        slots,
-        pstats: _,
-        pool,
-        clock,
-        cursor,
-        iters,
-        epoch,
-        cfg,
-        strategy,
-        topology,
-        cost,
-        group,
-        ledger,
-        dense_bytes,
-        flops_per_sample,
-        samples,
-        loss_sum_micro,
-        loss_batches,
-        compute_scale,
-        batch_size,
-        tracer,
-        auditor,
-        table,
-        partition,
-        faults,
-        fstate,
-        image,
-        nonfinite,
-        recorder,
-        profiler,
-    } = ctx;
-    let dim = cfg.dim;
-    let fields = dataset.num_fields;
-    let is_bsp = matches!(strategy.dense_sync, DenseSync::AllReduce)
-        && matches!(strategy.embed_home, EmbedHome::Gpu);
-    let epoch_start = clock.now();
-
-    // One slot carries every per-batch buffer; reused across thousands of
-    // iterations, so the hot loop allocates nothing once warm.
-    let slot = slots.first_mut().expect("trainer always allocates slots");
+    // Pre-size the embedding scratch so the companion never grows buffers
+    // mid-prefetch (allocation hint only, never correctness). Depth 1 lets
+    // the buffers grow to what its reads actually need.
+    if prefetch {
+        emb.reserve_batch(batch_size, dataset.num_fields);
+    }
+    let mut emb_slot = Some(emb);
+    let mut driver = PipelineDriver::new(std::mem::take(&mut worker.slots));
     let mut sample_slices: Vec<&[u32]> = Vec::with_capacity(batch_size);
     let mut dense_grads: Vec<f32> = Vec::new();
-    // Stateless SGD on the replicated dense parameters (slot-keyed so a
-    // momentum variant could slot in without touching the loop).
+    // Stateless SGD on the replicated dense parameters.
     let mut sgd = Sgd::new(cfg.dense_lr);
     // Dense-gradient wire transport. Per-epoch so its error-feedback
     // residuals reset at the same barrier replica resync does — a
     // checkpoint-resumed run bit-matches an uninterrupted one.
     let mut dense_quant = DenseQuantizer::new(cfg.sync_format, cfg.sync_error_feedback);
-    let row_bytes = cfg.sync_format.row_wire_bytes(dim);
-
-    for _ in 0..iters {
-        // ---- Injected faults (iteration boundary). -------------------------
-        process_due_faults(
-            w, faults, fstate, clock, &recorder, tracer, image.as_deref(), table, partition,
-            emb, cost, row_bytes,
-        );
-
-        // Phase fence: a crash rollback must be fully visible before any
-        // peer reads the shared table this iteration, or same-seed runs
-        // diverge on the rollback/read race. Pure thread rendezvous — no
-        // simulated time, no data.
-        group.barrier();
-
-        // Publish the worker's simulated position so instants emitted deeper
-        // in the stack (protocol decisions, traffic charges) land at this
-        // batch's timestamp on the timeline.
-        if let Some(t) = tracer {
-            t.set_worker_time(w, clock.now());
-        }
-        let batch_start = clock.now();
-        // ---- Assemble the batch (wrap-around over the local shard). --------
-        let t_fetch = profiler.start();
-        assemble_batch(slot, shard, cursor, batch_size);
-        slot.advance_to(BatchStage::Fetch);
-        sample_slices.clear();
-        sample_slices.extend(slot.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
-        let actual = sample_slices.len();
-
-        let mut have_grad = false;
-        if actual > 0 {
-            // ---- Embedding read under bounded asynchrony. ------------------
-            slot.input.reset(actual, fields * dim);
-            slot.read_report = emb.read_batch(&sample_slices, slot.input.data_mut());
-        }
-        profiler.wall(BatchStage::Fetch, t_fetch);
-        slot.advance_to(BatchStage::Compute);
-        if actual > 0 {
-            // ---- Dense forward/backward (real math, blocked kernels). -----
-            let t_compute = profiler.start();
-            dense_compute(
-                slot, model, dataset, pool.as_ref(), loss_sum_micro, loss_batches, nonfinite,
-                &recorder,
-            );
-            profiler.wall(BatchStage::Compute, t_compute);
-            have_grad = true;
-        }
-
-        // Phase fence: every worker's reads drain before any gradient lands
-        // in the shared table, so a read never races a peer's same-iteration
-        // write-back. The write-backs themselves then run in rank order, one
-        // worker per sub-round: concurrent updates to a shared row do not
-        // commute under Adagrad (the g² accumulator changes the next step),
-        // so a canonical serialization is what makes same-seed runs — and
-        // checkpoint resumes — reproducible. None of this touches simulated
-        // time; it only pins which of the protocol's legal interleavings the
-        // host threads realize.
-        group.barrier();
-        slot.advance_to(BatchStage::Push);
-        let t_push = profiler.start();
-        let mut up_report = None;
-        for rank in 0..group.num_participants() {
-            if rank == w && have_grad {
-                // ---- Embedding gradient write-back. ------------------------
-                up_report = Some(emb.apply_gradients(
-                    &sample_slices,
-                    slot.grad_input.data(),
-                    &cfg.embed_opt,
-                ));
-            }
-            group.barrier();
-        }
-        profiler.wall(BatchStage::Push, t_push);
-
-        if let Some(up_report) = &up_report {
-            // ---- Charge simulated time. ------------------------------------
-            charge_batch(
-                w, actual, fields, compute_scale, flops_per_sample, strategy, cost, clock,
-                ledger, tracer, samples, &slot.read_report, up_report, row_bytes, 0.0, false,
-                profiler,
-            );
-        }
-
-        // ---- Dense synchronisation. ----------------------------------------
-        slot.advance_to(BatchStage::Sync);
-        let t_sync = profiler.start();
-        let sync_t = sync_dense(
-            w, model, &mut dense_grads, &mut dense_quant, &mut sgd, cfg.grad_clip, strategy,
-            topology, cost, group, ledger, clock, tracer, dense_bytes, is_bsp, false,
-        );
-        profiler.wall(BatchStage::Sync, t_sync);
-        profiler.sim(BatchStage::Sync, sync_t);
-        slot.finish();
-
-        if let Some(t) = tracer {
-            trace_stage_spans(t, w, batch_start, profiler.pending_sim());
-            t.worker_span(
-                w,
-                names::TRACE_BATCH,
-                batch_start,
-                clock.now() - batch_start,
-                &[("samples", Json::U64(actual as u64))],
-            );
-        }
-        profiler.finish_batch();
-
-        // Strict audit: agree collectively on whether the auditor tripped so
-        // every worker leaves at the same iteration boundary (a unilateral
-        // break would strand its peers in the next collective).
-        if let Some(a) = auditor {
-            if group.agree(a.is_tripped()) {
-                break;
-            }
-        }
-    }
-
-    if let Some(t) = tracer {
-        t.worker_span(
-            w,
-            names::TRACE_EPOCH,
-            epoch_start,
-            clock.now() - epoch_start,
-            &[("epoch", Json::U64(epoch as u64))],
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Depth >= 2: the prefetching pipeline.
-// ---------------------------------------------------------------------------
-
-fn run_epoch_pipelined(ctx: WorkerEpoch<'_, '_, '_>) {
-    let WorkerEpoch {
-        w,
-        shard,
-        dataset,
-        emb,
-        model,
-        slots,
-        pstats,
-        pool,
-        clock,
-        cursor,
-        iters,
-        epoch,
-        cfg,
-        strategy,
-        topology,
-        cost,
-        group,
-        ledger,
-        dense_bytes,
-        flops_per_sample,
-        samples,
-        loss_sum_micro,
-        loss_batches,
-        compute_scale,
-        batch_size,
-        tracer,
-        auditor,
-        table,
-        partition,
-        faults,
-        fstate,
-        image,
-        nonfinite,
-        recorder,
-        profiler,
-    } = ctx;
-    let dim = cfg.dim;
-    let fields = dataset.num_fields;
-    let is_bsp = matches!(strategy.dense_sync, DenseSync::AllReduce)
-        && matches!(strategy.embed_home, EmbedHome::Gpu);
-    let epoch_start = clock.now();
-    // Whether *any* worker can fault this run decides — uniformly across
-    // workers, so the collective schedules agree — whether the per-iteration
-    // fault fence is needed at all.
-    let have_faults =
-        (0..group.num_participants()).any(|p| !faults.worker_faults(p).is_empty());
-
-    // Pre-size the embedding scratch so the companion thread never grows
-    // buffers mid-prefetch (allocation hint only, never correctness).
-    emb.reserve_batch(batch_size, fields);
-    let mut emb_slot = Some(emb);
-
-    let mut driver = PipelineDriver::new(std::mem::take(slots));
-    let mut sample_slices: Vec<&[u32]> = Vec::with_capacity(batch_size);
-    let mut dense_grads: Vec<f32> = Vec::new();
-    let mut sgd = Sgd::new(cfg.dense_lr);
-    // Dense-gradient wire transport; per-epoch, exactly as in the
-    // sequential schedule, so depths bit-match each other.
-    let mut dense_quant = DenseQuantizer::new(cfg.sync_format, cfg.sync_error_feedback);
-    let row_bytes = cfg.sync_format.row_wire_bytes(dim);
     // The previous iteration's dense-sync seconds: the window a prefetched
     // embedding read can hide behind on the simulated clock (the fetch
     // genuinely ran during that sync on the wall clock).
     let mut prev_sync_t = 0.0f64;
-
-    let cell = PrefetchCell {
-        state: Mutex::new(PrefetchState::Idle),
-        ready: Condvar::new(),
-    };
-    // Wake the companion at publish time only when the host has cores to
-    // spare beyond the worker main threads. On an oversubscribed host the
-    // freshly-woken companion wins the scheduler's favor, claims the job,
-    // and the main thread later blocks on it — a net loss over just running
-    // the fetch inline, which the steal-back path does for free. The
-    // companion still exists either way (and the shutdown wake still
-    // reaches it); this gate only decides who is *likely* to run the fetch,
-    // which the determinism contract is explicitly independent of.
-    let spare_cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1)
-        > group.num_participants();
+    let cell = PrefetchCell::new();
 
     std::thread::scope(|scope| {
-        let cell_ref = &cell;
-        scope.spawn(move || companion_loop(cell_ref, dataset, fields, dim, batch_size));
-
+        if prefetch {
+            let cell = &cell;
+            scope.spawn(move || companion_loop(cell, dataset, dim, batch_size));
+        }
         let mut inflight = false;
-        for i in 0..iters {
-            // ---- Acquire this iteration's slot (prefetched or inline). ----
-            // Fetch wall time from the main thread's perspective: the stall
-            // waiting on the companion, the steal-back inline read, or the
-            // first iteration's inline fetch — whichever path ran.
-            let t_fetch = profiler.start();
-            let mut slot = if inflight {
-                inflight = false;
-                let done = {
-                    let mut st = cell.state.lock().expect("prefetch cell poisoned");
-                    if matches!(&*st, PrefetchState::Published { .. }) {
-                        // The companion never took the job: steal it back
-                        // and fetch inline — same thread the sequential
-                        // schedule uses, no handoff, no waiting.
-                        let PrefetchState::Published { job, .. } =
-                            std::mem::replace(&mut *st, PrefetchState::Idle)
-                        else {
-                            unreachable!()
-                        };
-                        drop(st);
-                        execute_fetch(job, dataset, fields, dim, &mut sample_slices)
-                    } else {
-                        // Claimed (or already done): wait for the companion.
-                        let wait = Instant::now();
-                        while !matches!(&*st, PrefetchState::Done(_)) {
-                            st = cell.ready.wait(st).expect("prefetch cell poisoned");
-                        }
-                        pstats.stall_secs += wait.elapsed().as_secs_f64();
-                        let PrefetchState::Done(done) =
-                            std::mem::replace(&mut *st, PrefetchState::Idle)
-                        else {
-                            unreachable!()
-                        };
-                        pstats.prefetch_secs += done.fetch_secs;
-                        if let Some(t) = tracer {
-                            t.set_worker_time(w, clock.now());
-                            t.worker_instant(
-                                w,
-                                names::TRACE_PIPELINE_PREFETCH,
-                                &[("wall_secs", Json::F64(done.fetch_secs))],
-                            );
-                        }
-                        done
-                    }
-                };
-                pstats.prefetched += 1;
-                emb_slot = Some(done.emb);
-                done.ctx
-            } else {
-                // First iteration (or post-abort): fetch inline. The table
-                // is quiescent at an iteration boundary, so this is the
-                // same read the sequential schedule performs.
-                let mut slot = driver.acquire();
-                assemble_batch(&mut slot, shard, cursor, batch_size);
-                slot.advance_to(BatchStage::Fetch);
-                sample_slices.clear();
-                sample_slices
-                    .extend(slot.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
-                if !sample_slices.is_empty() {
-                    slot.input.reset(sample_slices.len(), fields * dim);
-                    let emb = emb_slot.as_deref_mut().expect("emb handle present");
-                    slot.read_report = emb.read_batch(&sample_slices, slot.input.data_mut());
-                }
-                slot
-            };
-            profiler.wall(BatchStage::Fetch, t_fetch);
-            pstats.batches += 1;
+        for i in 0..run.iters {
+            // Publish the worker's simulated position so instants emitted
+            // deeper in the stack (protocol decisions, traffic charges)
+            // land at this batch's timestamp on the timeline.
             if let Some(t) = tracer {
-                t.set_worker_time(w, clock.now());
+                t.set_worker_time(w, worker.clock.now());
             }
-            let batch_start = clock.now();
+            let batch_start = worker.clock.now();
+
+            // ---- Fetch: collect the prefetch, or read inline. --------------
+            // Wall time from the main thread's perspective: the stall on the
+            // companion, the steal-back read, or the inline read.
+            let t_fetch = worker.profiler.start();
+            let done = if inflight {
+                inflight = false;
+                let (done, stall) =
+                    cell.collect(|job| execute_fetch(job, dataset, dim, &mut sample_slices));
+                worker.pstats.prefetched += 1;
+                if let Some(stall) = stall {
+                    worker.pstats.stall_secs += stall;
+                    worker.pstats.prefetch_secs += done.fetch_secs;
+                    if let Some(t) = tracer {
+                        t.worker_instant(
+                            w,
+                            names::TRACE_PIPELINE_PREFETCH,
+                            &[("wall_secs", Json::F64(done.fetch_secs))],
+                        );
+                    }
+                }
+                done
+            } else {
+                // Every iteration at depth 1; the first (or post-abort) one
+                // deeper. The table is quiescent at an iteration boundary.
+                let mut slot = driver.acquire();
+                assemble_batch(&mut slot, &worker.shard, &mut worker.cursor, batch_size);
+                slot.advance_to(BatchStage::Fetch);
+                let emb = emb_slot.take().expect("emb handle present");
+                execute_fetch(FetchJob { emb, ctx: slot }, dataset, dim, &mut sample_slices)
+            };
+            emb_slot = Some(done.emb);
+            let mut slot = done.ctx;
+            worker.profiler.wall(BatchStage::Fetch, t_fetch);
+            worker.pstats.batches += 1;
             // The write-back needs the sample slices regardless of where the
             // fetch ran; rebuilding them is a handful of pointer derefs.
             sample_slices.clear();
             sample_slices.extend(slot.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
-            let actual = sample_slices.len();
+            let have_grad = !sample_slices.is_empty();
 
-            // ---- Reads-done fence: all fetches (pre- or inline) precede ----
-            // any same-iteration write-back, as in the sequential schedule.
+            // ---- Reads-done fence: every worker's reads drain before any --
+            // gradient lands in the shared table. Pure thread rendezvous: no
+            // simulated time, no data.
             group.barrier();
 
-            // ---- Dense compute on the slot's own tape. --------------------
+            // ---- Dense forward/backward on the slot's own tape. -----------
             slot.advance_to(BatchStage::Compute);
-            let mut have_grad = false;
-            if actual > 0 {
-                let t_compute = profiler.start();
-                dense_compute(
-                    &mut slot, model, dataset, pool.as_ref(), loss_sum_micro, loss_batches,
-                    nonfinite, &recorder,
-                );
-                profiler.wall(BatchStage::Compute, t_compute);
-                have_grad = true;
+            if have_grad {
+                let t_compute = worker.profiler.start();
+                dense_compute(run, worker, &mut slot);
+                worker.profiler.wall(BatchStage::Compute, t_compute);
             }
 
-            // ---- Write-back: token ring replaces the per-rank barriers. ---
-            // Same canonical rank-ascending serialization, two rendezvous
-            // (ring handoff + fence) instead of n + 1 full barriers.
+            // ---- Write-back, serialized in rank order. --------------------
+            // Concurrent updates to a shared row do not commute under
+            // Adagrad (the g² accumulator changes the next step), so a
+            // canonical rank-ascending serialization is what makes same-seed
+            // runs — and checkpoint resumes — reproducible. The token ring
+            // realizes it with one handoff per rank.
             slot.advance_to(BatchStage::Push);
-            let t_push = profiler.start();
+            let t_push = worker.profiler.start();
             let up_report = {
                 let emb = emb_slot.as_deref_mut().expect("emb handle present");
                 group.in_rank_order(w, || {
                     have_grad.then(|| {
-                        emb.apply_gradients(
-                            &sample_slices,
-                            slot.grad_input.data(),
-                            &cfg.embed_opt,
-                        )
+                        emb.apply_gradients(&sample_slices, slot.grad_input.data(), &cfg.embed_opt)
                     })
                 })
             };
-            profiler.wall(BatchStage::Push, t_push);
+            worker.profiler.wall(BatchStage::Push, t_push);
             // ---- Writes-done ordering. ------------------------------------
-            // Before any thread may *execute* the batch i+1 fetch, every
-            // rank's ring turn must be complete — a low rank exits its turn
-            // while higher ranks are still writing. Three cases:
+            // Before any thread may *execute* the next fetch, every rank's
+            // ring turn must be complete — a low rank exits its turn while
+            // higher ranks are still writing. Three cases:
             //  * auditing on: the abort vote below is a full rendezvous
             //    entered by each rank only after its ring turn, so
             //    return-from-vote already happens-after the last write;
-            //  * no vote, no spare cores: the published job is never offered
-            //    to the companion, so the fetch runs at steal-back time —
-            //    after this iteration's dense collective, itself a full
-            //    rendezvous past every ring turn;
-            //  * no vote, spare cores: the companion may start fetching the
+            //  * no vote, job not offered (depth 1, or no spare cores): the
+            //    next fetch runs on this thread after this iteration's dense
+            //    collective, itself a full rendezvous past every ring turn;
+            //  * no vote, offered: the companion may start fetching the
             //    moment the job is published, so an explicit barrier must
             //    order the publish after the last ring turn.
             // Injected faults keep the barrier unconditionally (rollbacks
             // below must be ordered against every peer's write-back).
             // None of these forms charges simulated time.
-            if have_faults || (auditor.is_none() && spare_cores) {
+            if have_faults || (run.auditor.is_none() && offer) {
                 group.barrier();
             }
 
             // ---- Charge simulated time. -----------------------------------
             if let Some(up_report) = &up_report {
-                let extra = if slot.prefetched { prev_sync_t } else { 0.0 };
-                charge_batch(
-                    w, actual, fields, compute_scale, flops_per_sample, strategy, cost,
-                    clock, ledger, tracer, samples, &slot.read_report, up_report, row_bytes,
-                    extra, slot.prefetched, profiler,
-                );
+                charge_batch(run, worker, &slot, up_report, prev_sync_t);
             }
 
             // ---- Injected faults (skipped entirely on fault-free runs). ---
             if have_faults {
-                process_due_faults(
-                    w, faults, fstate, clock, &recorder, tracer, image.as_deref(), table,
-                    partition, emb_slot.as_deref_mut().expect("emb handle present"), cost,
-                    row_bytes,
-                );
-                // Rollback-visibility fence: no peer may prefetch (below)
-                // until every rollback is complete.
+                let emb = emb_slot.as_deref_mut().expect("emb handle present");
+                process_due_faults(run, worker, epoch.image, emb);
+                // Rollback-visibility fence: no peer may read the table
+                // again until every rollback is complete.
                 group.barrier();
             }
 
-            // ---- Collective abort decision gates the next prefetch. -------
-            let tripped = match auditor {
-                Some(a) => group.agree(a.is_tripped()),
-                None => false,
-            };
+            // ---- Strict audit: agree collectively on whether the auditor --
+            // tripped, so every worker leaves at the same iteration boundary
+            // (a unilateral break would strand its peers in the next
+            // collective). The decision also gates the next prefetch.
+            let tripped = run.auditor.is_some_and(|a| group.agree(a.is_tripped()));
 
-            // ---- Issue the prefetch for batch i + 1. ----------------------
-            // Safe: every worker has passed the writes-done fence (and the
-            // fault fence), so the table holds exactly this iteration's
-            // final state, and no peer can write batch i+1 gradients until
-            // after the next reads-done fence.
-            if !tripped && i + 1 < iters {
+            // ---- Issue the prefetch for batch i + 1 (depth >= 2). ---------
+            // Safe: every rank's write-back (and rollback) is ordered before
+            // the fetch executes, so the table holds exactly this
+            // iteration's final state, and no peer can write batch i+1
+            // gradients until after the next reads-done fence.
+            if prefetch && !tripped && i + 1 < run.iters {
                 let mut next = driver.acquire();
-                assemble_batch(&mut next, shard, cursor, batch_size);
+                assemble_batch(&mut next, &worker.shard, &mut worker.cursor, batch_size);
                 next.advance_to(BatchStage::Fetch);
                 // Issued ahead of consumption — deterministic, regardless of
                 // which thread the scheduler ends up running the fetch on.
                 next.prefetched = true;
-                let job = FetchJob {
-                    emb: emb_slot.take().expect("emb handle present"),
-                    ctx: next,
-                };
-                let mut st = cell.state.lock().expect("prefetch cell poisoned");
-                *st = PrefetchState::Published { job, offered: spare_cores };
-                if spare_cores {
-                    cell.ready.notify_one();
-                }
-                drop(st);
+                let emb = emb_slot.take().expect("emb handle present");
+                cell.publish(FetchJob { emb, ctx: next }, offer);
                 inflight = true;
             }
 
-            // ---- Dense sync: one fused collective under BSP. --------------
+            // ---- Dense synchronisation. -----------------------------------
             slot.advance_to(BatchStage::Sync);
-            let t_sync = profiler.start();
-            prev_sync_t = sync_dense(
-                w, model, &mut dense_grads, &mut dense_quant, &mut sgd, cfg.grad_clip,
-                strategy, topology, cost, group, ledger, clock, tracer, dense_bytes, is_bsp,
-                is_bsp,
-            );
-            profiler.wall(BatchStage::Sync, t_sync);
-            profiler.sim(BatchStage::Sync, prev_sync_t);
+            let t_sync = worker.profiler.start();
+            prev_sync_t = sync_dense(run, worker, &mut dense_grads, &mut dense_quant, &mut sgd);
+            worker.profiler.wall(BatchStage::Sync, t_sync);
+            worker.profiler.sim(BatchStage::Sync, prev_sync_t);
             slot.finish();
 
             if let Some(t) = tracer {
-                trace_stage_spans(t, w, batch_start, profiler.pending_sim());
+                trace_stage_spans(t, w, batch_start, worker.profiler.pending_sim());
                 t.worker_span(
                     w,
                     names::TRACE_BATCH,
                     batch_start,
-                    clock.now() - batch_start,
-                    &[("samples", Json::U64(actual as u64))],
+                    worker.clock.now() - batch_start,
+                    &[("samples", Json::U64(slot.batch_idx.len() as u64))],
                 );
             }
-            profiler.finish_batch();
+            worker.profiler.finish_batch();
             driver.recycle(slot);
             if tripped {
                 break;
             }
         }
-        // Companion shutdown: flip the cell so its wait loop exits; the
-        // scope join waits for it. No prefetch is ever in flight here (the
-        // last iteration and the abort path both skip the issue).
-        let mut st = cell.state.lock().expect("prefetch cell poisoned");
-        *st = PrefetchState::Shutdown;
-        cell.ready.notify_all();
+        // No prefetch is ever in flight here: the last iteration and the
+        // abort path both skip the issue. The scope joins the companion.
+        cell.shutdown();
     });
 
-    *slots = driver.into_slots();
+    worker.slots = driver.into_slots();
 
     if let Some(t) = tracer {
         t.worker_span(
             w,
             names::TRACE_EPOCH,
             epoch_start,
-            clock.now() - epoch_start,
-            &[("epoch", Json::U64(epoch as u64))],
+            worker.clock.now() - epoch_start,
+            &[("epoch", Json::U64(epoch.epoch as u64))],
         );
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shared stage bodies (both schedules run exactly this code).
+// Stage bodies.
 // ---------------------------------------------------------------------------
 
 /// Fills the slot's batch from the local shard, wrap-around over the
@@ -1101,17 +911,7 @@ fn assemble_batch(slot: &mut StepCtx, shard: &[u32], cursor: &mut usize, batch_s
 /// optionally row-panel parallel under the worker's [`GemmPool`].
 /// Everything between entry and `end_batch` reuses tape buffers — zero
 /// allocations once warm (the `dense.*` gauges assert it).
-#[allow(clippy::too_many_arguments)]
-fn dense_compute(
-    slot: &mut StepCtx,
-    model: &mut CtrModel,
-    dataset: &CtrDataset,
-    pool: Option<&Arc<GemmPool>>,
-    loss_sum_micro: &AtomicU64,
-    loss_batches: &AtomicU64,
-    nonfinite: &AtomicU64,
-    recorder: &Arc<dyn Recorder>,
-) {
+fn dense_compute(run: &RunCtx<'_>, worker: &mut Worker, slot: &mut StepCtx) {
     let StepCtx {
         batch_idx,
         labels,
@@ -1121,20 +921,22 @@ fn dense_compute(
         tape,
         ..
     } = slot;
+    let model = &mut worker.model;
+    let recorder = &worker.recorder;
     let mut body = || {
         let dense_start = Instant::now();
         model.forward_tape(input, tape);
         labels.clear();
-        labels.extend(batch_idx.iter().map(|&i| dataset.label(i as usize)));
+        labels.extend(batch_idx.iter().map(|&i| run.dataset.label(i as usize)));
         let batch_loss = bce_with_logits_into(tape.logits(), labels, grad_logits);
         if batch_loss.is_finite() {
-            loss_sum_micro
+            run.loss_sum_micro
                 .fetch_add((batch_loss.max(0.0) as f64 * 1e6) as u64, Ordering::Relaxed);
-            loss_batches.fetch_add(1, Ordering::Relaxed);
+            run.loss_batches.fetch_add(1, Ordering::Relaxed);
         } else {
             // `max(0.0)` on a NaN would silently yield 0.0 and bury the
             // divergence in the epoch's mean loss; count it instead.
-            nonfinite.fetch_add(1, Ordering::Relaxed);
+            run.nonfinite.fetch_add(1, Ordering::Relaxed);
             recorder.counter_add(names::TRAIN_LOSS_NONFINITE, 1);
         }
         model.zero_grad();
@@ -1142,148 +944,110 @@ fn dense_compute(
         tape.dense_secs += dense_start.elapsed().as_secs_f64();
         tape.end_batch();
     };
-    match pool {
+    match &worker.pool {
         Some(p) => p.install(body),
         None => body(),
     }
 }
 
 /// Charges one batch's simulated time (compute, input pipeline, embedding
-/// comm, metadata) and records its traffic. `extra_overlap` widens the
-/// embedding read's hide-behind window by the previous iteration's
-/// dense-sync seconds when the read was prefetched; the sequential schedule
-/// passes `0.0, false` and is unchanged.
-#[allow(clippy::too_many_arguments)]
+/// comm, metadata) and records its traffic. A prefetched read may also hide
+/// behind the previous iteration's dense-sync window, `prev_sync_t`.
 fn charge_batch(
-    w: usize,
-    actual: usize,
-    fields: usize,
-    compute_scale: f64,
-    flops_per_sample: f64,
-    strategy: &StrategyConfig,
-    cost: &CostModel,
-    clock: &mut SimClock,
-    ledger: &TrafficLedger,
-    tracer: Option<&TraceCollector>,
-    samples: &AtomicU64,
-    read_report: &ReadReport,
+    run: &RunCtx<'_>,
+    worker: &mut Worker,
+    slot: &StepCtx,
     up_report: &UpdateReport,
-    row_bytes: u64,
-    extra_overlap: f64,
-    prefetched: bool,
-    profiler: &mut StageProfiler,
+    prev_sync_t: f64,
 ) {
+    let (w, cost, strategy) = (worker.w, run.cost, run.strategy);
+    let (clock, profiler) = (&mut worker.clock, &mut worker.profiler);
+    let (actual, read_report) = (slot.batch_idx.len(), &slot.read_report);
     // The straggler factor scales arithmetic throughput, not the
     // fixed launch overhead (a slow accelerator still dispatches
     // kernels at normal latency).
-    let flops = flops_per_sample * actual as f64;
+    let flops = run.flops_per_sample * actual as f64;
     let compute_t = cost.compute.per_batch_overhead
-        + (flops / cost.compute.flops_per_second) * compute_scale;
+        + (flops / cost.compute.flops_per_second) * worker.compute_scale;
     clock.advance(TimeCategory::Compute, compute_t);
     profiler.sim(BatchStage::Compute, compute_t);
 
     // Input pipeline (overlapped behind compute).
-    let input_bytes = (actual * fields * 4) as u64;
+    let input_bytes = (actual * run.dataset.num_fields * 4) as u64;
     clock.advance_overlapped(
         TimeCategory::HostIo,
         cost.link_transfer_time(LinkClass::HostPcie, input_bytes),
         compute_t,
     );
 
-    let comm = charge_embedding_comm(
-        w, strategy, cost, read_report, up_report, row_bytes, tracer, clock.now(),
-    );
+    let comm = charge_embedding_comm(run, w, read_report, up_report, clock.now());
     let embed_t = comm.read + comm.write_back;
-    let meta_t = comm.meta;
     profiler.sim(BatchStage::Fetch, comm.read);
     profiler.sim(BatchStage::Push, comm.write_back);
+    let extra_overlap = if slot.prefetched { prev_sync_t } else { 0.0 };
     let window = if strategy.overlap { compute_t } else { 0.0 } + extra_overlap;
-    if strategy.overlap || prefetched {
+    if strategy.overlap || slot.prefetched {
         clock.advance_overlapped(TimeCategory::EmbedComm, embed_t, window);
     } else {
         clock.advance(TimeCategory::EmbedComm, embed_t);
     }
-    clock.advance(TimeCategory::MetaComm, meta_t);
+    clock.advance(TimeCategory::MetaComm, comm.meta);
 
-    ledger.record(
+    run.ledger.record(
         w,
         TrafficClass::EmbedData,
         read_report.data_bytes + up_report.data_bytes,
         read_report.messages + up_report.messages,
     );
-    ledger.record(
+    run.ledger.record(
         w,
         TrafficClass::KeysClocks,
         read_report.meta_bytes + up_report.meta_bytes,
         read_report.messages + up_report.messages,
     );
-    samples.fetch_add(actual as u64, Ordering::Relaxed);
+    run.samples.fetch_add(actual as u64, Ordering::Relaxed);
 }
 
-/// Dense gradient synchronisation: mean-AllReduce, clip, SGD step, charges,
-/// and the BSP clock barrier. Returns the dense-sync seconds charged (the
-/// next iteration's prefetch overlap window).
+/// Dense gradient synchronisation: charges, mean-AllReduce, clip, SGD step.
+/// Returns the dense-sync seconds charged (the next iteration's prefetch
+/// overlap window).
 ///
-/// `fused == false` is the sequential schedule verbatim: plain
-/// `allreduce_mean`, then charges, then a separate f32 `allreduce_max`
-/// barrier under BSP. `fused == true` (pipelined BSP) charges first and
-/// then issues **one** [`AllReduceGroup::fused_mean_max`] whose max lane
-/// carries the post-charge clock — the gradient mean is bit-identical (same
-/// value-sorted summation, same `1/n` scaling); only the barrier's f64
-/// (vs f32) clock precision differs, which never feeds back into the math
-/// on fault-free runs.
-#[allow(clippy::too_many_arguments)]
+/// Under BSP the mean and the simulated-clock barrier are **one**
+/// [`AllReduceGroup::fused_mean_max`], whose max lane carries the
+/// post-charge clock. ASP/PS runs reduce with a plain mean and no barrier:
+/// simulated clocks drift freely, but the OS threads still rendezvous at
+/// the collective (math-level combining without a time barrier). Both
+/// collectives use the same value-sorted summation, so gradient means are
+/// identical either way.
 fn sync_dense(
-    w: usize,
-    model: &mut CtrModel,
+    run: &RunCtx<'_>,
+    worker: &mut Worker,
     dense_grads: &mut Vec<f32>,
     quant: &mut DenseQuantizer,
     sgd: &mut Sgd,
-    grad_clip: Option<f32>,
-    strategy: &StrategyConfig,
-    topology: &Topology,
-    cost: &CostModel,
-    group: &AllReduceGroup,
-    ledger: &TrafficLedger,
-    clock: &mut SimClock,
-    tracer: Option<&TraceCollector>,
-    dense_bytes: u64,
-    is_bsp: bool,
-    fused: bool,
 ) -> f64 {
-    model.flatten_grads_into(dense_grads);
+    let (w, cost, dense_bytes) = (worker.w, run.cost, run.dense_bytes);
+    let (topology, clock) = (&cost.topology, &mut worker.clock);
+    worker.model.flatten_grads_into(dense_grads);
     // The local gradient crosses the wire once per collective; transporting
-    // it before the reduction (identical in the fused and plain paths)
-    // keeps losses depth-invariant under every format.
+    // it before the reduction keeps losses depth-invariant under every
+    // format.
     quant.transport(dense_grads);
-    if fused {
-        debug_assert!(is_bsp, "the fused collective is a BSP barrier");
-        let t = cost.allreduce_time_at(dense_bytes, clock.now());
-        trace_allreduce_span(tracer, topology, w, clock.now(), t, dense_bytes);
-        clock.advance(TimeCategory::AllReduceComm, t);
-        ledger.record(w, TrafficClass::AllReduce, allreduce_bytes(dense_bytes, topology), 1);
-        let (max_clock, _) = group.fused_mean_max(dense_grads, clock.now(), false);
-        clip_and_step(model, dense_grads, sgd, grad_clip);
-        clock.wait_until(max_clock);
-        return t;
-    }
 
-    group.allreduce_mean(dense_grads);
-    clip_and_step(model, dense_grads, sgd, grad_clip);
-
-    let t = match strategy.dense_sync {
+    let t = match run.strategy.dense_sync {
         DenseSync::AllReduce => {
             let t = cost.allreduce_time_at(dense_bytes, clock.now());
-            trace_allreduce_span(tracer, topology, w, clock.now(), t, dense_bytes);
+            trace_allreduce_span(run.tracer, topology, w, clock.now(), t, dense_bytes);
             clock.advance(TimeCategory::AllReduceComm, t);
-            ledger.record(w, TrafficClass::AllReduce, allreduce_bytes(dense_bytes, topology), 1);
+            run.ledger
+                .record(w, TrafficClass::AllReduce, allreduce_bytes(dense_bytes, topology), 1);
             t
         }
         DenseSync::PsAsync => {
             // Push gradients + pull parameters over the shared host link.
             let n = topology.num_workers() as u64;
             let t = cost.link_transfer_time(LinkClass::HostPcie, 2 * dense_bytes * n);
-            if let Some(tr) = tracer {
+            if let Some(tr) = run.tracer {
                 tr.link_span(
                     LinkClass::HostPcie.label(),
                     names::TRACE_ALLREDUCE,
@@ -1293,20 +1057,18 @@ fn sync_dense(
                 );
             }
             clock.advance(TimeCategory::AllReduceComm, t);
-            ledger.record(w, TrafficClass::AllReduce, 2 * dense_bytes, 2);
+            run.ledger.record(w, TrafficClass::AllReduce, 2 * dense_bytes, 2);
             t
         }
     };
 
-    // BSP: the AllReduce is a barrier in simulated time too.
-    if is_bsp {
-        let mut m = [clock.now() as f32];
-        group.allreduce_max(&mut m);
-        clock.wait_until(m[0] as f64);
+    if run.is_bsp() {
+        let (max_clock, _) = run.group.fused_mean_max(dense_grads, clock.now(), false);
+        clip_and_step(&mut worker.model, dense_grads, sgd, run.cfg.grad_clip);
+        clock.wait_until(max_clock);
     } else {
-        // ASP systems do not barrier; simulated clocks drift freely,
-        // but the OS threads still rendezvous at the collective above
-        // (math-level combining without a time barrier).
+        run.group.allreduce_mean(dense_grads);
+        clip_and_step(&mut worker.model, dense_grads, sgd, run.cfg.grad_clip);
     }
     t
 }
@@ -1369,21 +1131,14 @@ fn trace_allreduce_span(
 /// collectives: the worker never abandons a rendezvous, so peers are
 /// never stranded — they simply absorb the downtime through the BSP
 /// simulated-time barrier.
-#[allow(clippy::too_many_arguments)]
 fn process_due_faults(
-    w: usize,
-    faults: &FaultSchedule,
-    fstate: &mut WorkerFaultState,
-    clock: &mut SimClock,
-    recorder: &Arc<dyn Recorder>,
-    tracer: Option<&TraceCollector>,
+    run: &RunCtx<'_>,
+    worker: &mut Worker,
     image: Option<&CheckpointImage>,
-    table: &dyn RowStore,
-    partition: &Partition,
     emb: &mut dyn EmbeddingWorker,
-    cost: &CostModel,
-    row_bytes: u64,
 ) {
+    let (w, faults, table, tracer) = (worker.w, run.faults, run.table, run.tracer);
+    let (clock, fstate, recorder) = (&mut worker.clock, &mut worker.fstate, &worker.recorder);
     while let Some(f) = faults.worker_faults(w).get(fstate.next) {
         if f.at > clock.now() {
             break;
@@ -1424,7 +1179,7 @@ fn process_due_faults(
                 let mut lost = 0u64;
                 let mut rolled = 0u64;
                 for e in 0..table.num_rows() as u32 {
-                    if partition.primary_of(e) != w as u32 {
+                    if run.partition.primary_of(e) != w as u32 {
                         continue;
                     }
                     let cur = table.clock(e);
@@ -1454,11 +1209,11 @@ fn process_due_faults(
                 // the image over the host link, re-fetch refreshed
                 // replicas from peers, and replay the work done since the
                 // image was captured.
+                let cost = run.cost;
                 let n_workers = cost.topology.num_workers() as u64;
-                let restore_t = cost
-                    .link_transfer_time(LinkClass::HostPcie, image.bytes / n_workers.max(1));
-                let refresh_t =
-                    mean_link_time(w, cost, refreshed.saturating_mul(row_bytes));
+                let restore_t =
+                    cost.link_transfer_time(LinkClass::HostPcie, image.bytes / n_workers.max(1));
+                let refresh_t = mean_link_time(w, cost, refreshed.saturating_mul(run.row_bytes()));
                 let replay_t = (crash_time - image.sim_times[w]).max(0.0);
                 let recovery_t = faults.restart_overhead() + restore_t + refresh_t + replay_t;
                 clock.advance(TimeCategory::Fault, recovery_t);
@@ -1511,18 +1266,15 @@ pub(crate) struct EmbedCommTimes {
 /// strategy. When a tracer is attached, each per-peer transfer also becomes
 /// a `trace.link.transfer` span on the link-class track, laid out
 /// sequentially from `start_secs`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn charge_embedding_comm(
+fn charge_embedding_comm(
+    run: &RunCtx<'_>,
     w: usize,
-    strategy: &StrategyConfig,
-    cost: &CostModel,
     read: &ReadReport,
     up: &UpdateReport,
-    row_bytes: u64,
-    tracer: Option<&TraceCollector>,
     start_secs: f64,
 ) -> EmbedCommTimes {
-    match strategy.embed_home {
+    let (cost, tracer) = (run.cost, run.tracer);
+    match run.strategy.embed_home {
         EmbedHome::CpuPs => {
             // Every lookup/update crosses the host link, regardless of the
             // GPU partition: charge the full working set. The parameter
@@ -1537,7 +1289,7 @@ pub(crate) fn charge_embedding_comm(
                 // data_bytes only counts remote rows; reconstruct full rows
                 // from counts via bytes-per-row of the remote ones, falling
                 // back to the configured wire size when everything was local.
-                estimate_row_bytes(read, up, row_bytes)
+                estimate_row_bytes(read, up, run.row_bytes())
             } else {
                 0
             };
@@ -1805,7 +1557,7 @@ mod tests {
             occupancy > 0.5 && occupancy < 1.0,
             "occupancy {occupancy} outside (0.5, 1.0)"
         );
-        // The sequential run records the shape but no pipelined batches.
+        // The depth-1 run records the shape but prefetches nothing.
         let seq = run_shape(&data, 1, 1);
         assert_eq!(seq.telemetry.counter(names::PIPELINE_PREFETCHED_BATCHES), 0);
         assert_eq!(
@@ -1850,7 +1602,7 @@ mod tests {
     #[test]
     fn pipelined_checkpoint_resume_matches_sequential_resume() {
         // Checkpoint/resume operates on whole StepCtx slots: a depth-2 run
-        // resumed from a checkpoint replays exactly the math a sequential
+        // resumed from a checkpoint replays exactly the math a depth-1
         // resume replays, so the two resumed runs match bitwise.
         let dir = std::env::temp_dir().join(format!(
             "hetgmp-pipeline-ckpt-{}",
@@ -1914,8 +1666,9 @@ mod tests {
     #[test]
     fn hand_built_zero_pipeline_config_is_an_error_not_a_hang() {
         // TrainerConfig's fields are public; a zero depth would mean no batch
-        // slots (and a zero thread count no GEMM workers), so try_run must
-        // reject both before any thread spawns.
+        // slots, a zero thread count no GEMM workers, and a compute-scale
+        // list of the wrong length no scale for some worker, so try_run must
+        // reject all three before any thread spawns.
         let data = tiny_dataset();
         for cfg in [
             TrainerConfig {
@@ -1924,6 +1677,10 @@ mod tests {
             },
             TrainerConfig {
                 gemm_threads: 0,
+                ..fast_config()
+            },
+            TrainerConfig {
+                compute_scales: Some(vec![1.0]),
                 ..fast_config()
             },
         ] {

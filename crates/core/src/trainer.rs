@@ -48,7 +48,8 @@ use hetgmp_tensor::{auc, log_loss, GemmPool, Matrix};
 
 use crate::models::{CtrModel, ModelKind};
 use crate::pipeline::{
-    mean_link_time, run_worker_epoch, PipelineStats, StageProfiler, StepCtx, WorkerEpoch,
+    mean_link_time, run_worker_epoch, EpochInputs, PipelineStats, RunCtx, StageProfiler, StepCtx,
+    Worker,
 };
 use crate::strategy::{CacheDesign, EmbedHome, StrategyConfig};
 
@@ -120,11 +121,10 @@ pub struct TrainerConfig {
     /// match the run that wrote the checkpoint.
     pub resume_from: Option<PathBuf>,
     /// Software-pipeline depth: the number of in-flight [`StepCtx`]
-    /// (crate::pipeline::StepCtx) batch slots per worker. `1` (the default)
-    /// is the classic fully sequential inner loop; `>= 2` runs each worker's
-    /// embedding fetch for batch `i+1` on a companion thread while batch `i`
-    /// finishes its dense sync, and replaces the per-rank write-back
-    /// barriers with a token ring plus one fused sync collective. Losses,
+    /// (crate::pipeline::StepCtx) batch slots per worker. Every depth runs
+    /// the same iteration schedule. `1` (the default) fetches every batch
+    /// inline; `>= 2` runs each worker's embedding fetch for batch `i+1` on
+    /// a companion thread while batch `i` finishes its dense sync. Losses,
     /// AUC and checkpoints are bit-identical across depths on fault-free
     /// runs; only the simulated overlap accounting (and wall-clock speed)
     /// changes.
@@ -314,7 +314,7 @@ impl TrainerConfigBuilder {
     }
 
     /// Software-pipeline depth (in-flight batch slots per worker; must lie
-    /// in `1..=8`). Depth 1 is the sequential inner loop.
+    /// in `1..=8`). Depth 1 prefetches nothing.
     pub fn pipeline_depth(mut self, depth: usize) -> Self {
         self.cfg.pipeline_depth = depth;
         self
@@ -555,20 +555,19 @@ impl StorageTable {
 fn plan_epoch_pages(
     table: &TieredTable,
     dataset: &CtrDataset,
-    shards: &[Vec<u32>],
-    cursors: &[usize],
-    batch_sizes: &[usize],
+    workers: &[Worker],
     iters: usize,
 ) -> Vec<u32> {
-    let mut cur: Vec<usize> = cursors.to_vec();
+    let mut cur: Vec<usize> = workers.iter().map(|w| w.cursor).collect();
     let mut plan: Vec<u32> = Vec::new();
     let mut pages: Vec<u32> = Vec::new();
     for _ in 0..iters {
-        for (w, shard) in shards.iter().enumerate() {
+        for (w, worker) in workers.iter().enumerate() {
+            let shard = &worker.shard;
             if shard.is_empty() {
                 continue;
             }
-            let bs = batch_sizes[w].min(shard.len());
+            let bs = worker.batch_size.min(shard.len());
             pages.clear();
             for _ in 0..bs {
                 let idx = shard[cur[w] % shard.len()];
@@ -774,6 +773,22 @@ impl<'d> Trainer<'d> {
         if cfg.gemm_threads == 0 {
             return Err(HetGmpError::config("gemm_threads", "must be at least 1"));
         }
+        // The builder never sees the topology, so only here can the scale
+        // count be checked against the worker count.
+        if let Some(scales) = &cfg.compute_scales {
+            if scales.len() != n {
+                return Err(HetGmpError::config(
+                    "compute_scales",
+                    format!("{} slowdown factors for {n} workers", scales.len()),
+                ));
+            }
+            if scales.iter().any(|&s| !s.is_finite() || s <= 0.0) {
+                return Err(HetGmpError::config(
+                    "compute_scales",
+                    "every slowdown factor must be positive and finite",
+                ));
+            }
+        }
         let manifest = RunManifest::new(
             cfg.seed,
             RunManifest::digest_of(&config_digest_text(&self.strategy, cfg)),
@@ -863,11 +878,6 @@ impl<'d> Trainer<'d> {
             ledger.attach_tracer(Arc::clone(t));
         }
         let ledger = ledger;
-        let samples_processed = AtomicU64::new(0);
-        // Training-loss accumulators (fixed-point micro-units so plain
-        // atomics suffice).
-        let loss_sum_micro = AtomicU64::new(0);
-        let loss_batches = AtomicU64::new(0);
 
         // Per-worker persistent state: static vertex-cut replicas (HET-GMP)
         // or a dynamic LFU cache (HET-style), behind one trait.
@@ -921,65 +931,51 @@ impl<'d> Trainer<'d> {
                 "telemetry hooks dropped on worker {w}"
             );
         }
-        let mut models: Vec<CtrModel> = (0..n)
-            .map(|_| {
-                CtrModel::new(
+        // Per-worker compute scales and (optionally) speed-proportional
+        // batch sizes so a straggler's BSP iteration takes as long as its
+        // peers'.
+        let compute_scales = cfg.compute_scales.clone().unwrap_or_else(|| vec![1.0; n]);
+        let mean_speed = compute_scales.iter().map(|&s| 1.0 / s).sum::<f64>() / n as f64;
+        let mut workers: Vec<Worker> = shards
+            .into_iter()
+            .zip(&compute_scales)
+            .enumerate()
+            .map(|(w, (shard, &compute_scale))| Worker {
+                w,
+                shard,
+                cursor: 0,
+                batch_size: if cfg.hetero_aware_batching {
+                    ((cfg.batch_size as f64 * (1.0 / compute_scale) / mean_speed).round()
+                        as usize)
+                        .max(1)
+                } else {
+                    cfg.batch_size
+                },
+                compute_scale,
+                // Identical init across workers.
+                model: CtrModel::new(
                     cfg.model,
                     self.dataset.num_fields,
                     cfg.dim,
                     &cfg.hidden,
-                    cfg.seed, // identical init across workers
-                )
+                    cfg.seed,
+                ),
+                clock: SimClock::with_recorder(registry.worker(w)),
+                // Every per-batch buffer (tape arena, embedding input,
+                // gradients) lives in these slots for the whole run: zero
+                // steady-state allocations.
+                slots: (0..cfg.pipeline_depth).map(|_| StepCtx::new()).collect(),
+                // Row-panel GEMM helpers persist across every epoch.
+                pool: (cfg.gemm_threads > 1).then(|| GemmPool::new(cfg.gemm_threads)),
+                recorder: registry.worker(w),
+                // Timer calibration is paid once; the histograms flush into
+                // the worker recorder at every epoch boundary.
+                profiler: StageProfiler::new(),
+                pstats: PipelineStats::default(),
+                fstate: WorkerFaultState::default(),
             })
             .collect();
-        // One batch-slot pool per worker: every per-batch buffer (tape arena,
-        // embedding input, gradients) lives inside the pool's `StepCtx` slots
-        // for the whole run (zero steady-state allocations); the pipelined
-        // schedule double-buffers across them.
-        let mut slot_pools: Vec<Vec<StepCtx>> = (0..n)
-            .map(|_| (0..cfg.pipeline_depth).map(|_| StepCtx::new()).collect())
-            .collect();
-        let mut pipe_stats: Vec<PipelineStats> = vec![PipelineStats::default(); n];
-        // Per-worker stage profilers persist across epochs (their timer
-        // calibration is paid once) and flush into the worker recorders at
-        // every epoch boundary.
-        let mut profilers: Vec<StageProfiler> = (0..n).map(|_| StageProfiler::new()).collect();
-        // Optional row-panel GEMM pools, one per worker; helper threads
-        // persist across every epoch and batch.
-        let gemm_pools: Vec<Option<Arc<GemmPool>>> = (0..n)
-            .map(|_| (cfg.gemm_threads > 1).then(|| GemmPool::new(cfg.gemm_threads)))
-            .collect();
-        let dense_bytes = cfg.sync_format.dense_wire_bytes(models[0].num_dense_params());
-        let flops_per_sample = models[0].flops_per_sample();
-        // Per-worker compute scales and (optionally) speed-proportional
-        // batch sizes so a straggler's BSP iteration takes as long as its
-        // peers'.
-        let compute_scales: Vec<f64> = match &cfg.compute_scales {
-            Some(scales) => {
-                assert_eq!(scales.len(), n, "compute_scales length != workers");
-                assert!(scales.iter().all(|&s| s > 0.0), "scales must be positive");
-                scales.clone()
-            }
-            None => vec![1.0; n],
-        };
-        let batch_sizes: Vec<usize> = if cfg.hetero_aware_batching {
-            let speeds: Vec<f64> = compute_scales.iter().map(|&s| 1.0 / s).collect();
-            let mean_speed = speeds.iter().sum::<f64>() / n as f64;
-            speeds
-                .iter()
-                .map(|&sp| ((cfg.batch_size as f64 * sp / mean_speed).round() as usize).max(1))
-                .collect()
-        } else {
-            vec![cfg.batch_size; n]
-        };
-        let mut clocks: Vec<SimClock> = (0..n)
-            .map(|w| SimClock::with_recorder(registry.worker(w)))
-            .collect();
-        let mut cursors: Vec<usize> = vec![0; n];
-        let mut fault_states: Vec<WorkerFaultState> =
-            (0..n).map(|_| WorkerFaultState::default()).collect();
-        let nonfinite = AtomicU64::new(0);
-        let num_dense = models[0].num_dense_params();
+        let num_dense = workers[0].model.num_dense_params();
 
         // ---- Resume ----------------------------------------------------------
         let mut start_epoch = 1usize;
@@ -996,7 +992,7 @@ impl<'d> Trainer<'d> {
                     ),
                 ));
             }
-            for (w, ws) in state.workers.iter().enumerate() {
+            for (worker, ws) in workers.iter_mut().zip(&state.workers) {
                 if ws.dense_params.len() != num_dense {
                     return Err(HetGmpError::config(
                         "resume_from",
@@ -1007,18 +1003,18 @@ impl<'d> Trainer<'d> {
                         ),
                     ));
                 }
-                models[w].load_params(&ws.dense_params);
-                cursors[w] = ws.cursor as usize;
+                worker.model.load_params(&ws.dense_params);
+                worker.cursor = ws.cursor as usize;
                 // Seeding the resumed clock is a free forward jump: the time
                 // before the checkpoint was already charged by the original
                 // run.
-                clocks[w].wait_until(ws.sim_time);
+                worker.clock.wait_until(ws.sim_time);
                 // Skip fault events the original run already took.
-                let events = faults.worker_faults(w);
-                while fault_states[w].next < events.len()
-                    && events[fault_states[w].next].at <= ws.sim_time
+                let events = faults.worker_faults(worker.w);
+                while worker.fstate.next < events.len()
+                    && events[worker.fstate.next].at <= ws.sim_time
                 {
-                    fault_states[w].next += 1;
+                    worker.fstate.next += 1;
                 }
             }
             start_epoch = state.epoch as usize + 1;
@@ -1026,29 +1022,30 @@ impl<'d> Trainer<'d> {
 
         // In-memory image crashes roll back to; refreshed at every
         // checkpoint save. Only materialised when the schedule can crash.
-        let mut ckpt_image: Option<Arc<CheckpointImage>> = faults
+        let mut ckpt_image: Option<CheckpointImage> = faults
             .has_crashes()
-            .then(|| Arc::new(CheckpointImage::capture(table.as_store(), &clocks, num_dense)));
+            .then(|| CheckpointImage::capture(table.as_store(), &workers, num_dense));
 
-        let worker_recorders: Vec<Arc<dyn Recorder>> = (0..n)
-            .map(|w| registry.worker(w) as Arc<dyn Recorder>)
-            .collect();
-
-        let strategy = &self.strategy;
-        let dataset = self.dataset;
-        let topology = &self.topology;
-        let cost_ref = &cost;
-        let group_ref = &group;
-        let ledger_ref = &ledger;
-        let samples_ctr = &samples_processed;
-        let loss_sum_ref = &loss_sum_micro;
-        let loss_batches_ref = &loss_batches;
-        let tracer_ref: Option<&TraceCollector> = self.tracer.as_deref();
-        let auditor_ref: Option<&ProtocolAuditor> = auditor.as_deref();
-        let faults_ref: &FaultSchedule = &faults;
-        let nonfinite_ref = &nonfinite;
-        let table_ref: &dyn RowStore = table.as_store();
-        let partition_ref = &partition;
+        let run = RunCtx {
+            dataset: self.dataset,
+            cfg,
+            strategy: &self.strategy,
+            cost: &cost,
+            group: &group,
+            ledger: &ledger,
+            table: table.as_store(),
+            partition: &partition,
+            faults: &faults,
+            tracer: self.tracer.as_deref(),
+            auditor: auditor.as_deref(),
+            iters: iters_per_epoch,
+            dense_bytes: cfg.sync_format.dense_wire_bytes(num_dense),
+            flops_per_sample: workers[0].model.flops_per_sample(),
+            samples: AtomicU64::new(0),
+            loss_sum_micro: AtomicU64::new(0),
+            loss_batches: AtomicU64::new(0),
+            nonfinite: AtomicU64::new(0),
+        };
 
         // ---- Epoch loop ------------------------------------------------------
         let mut curve: Vec<EvalPoint> = Vec::with_capacity(cfg.epochs);
@@ -1061,88 +1058,36 @@ impl<'d> Trainer<'d> {
         // the modelled cluster; wall time measures this implementation.
         let wall_start = Instant::now();
         for epoch in start_epoch..=cfg.epochs {
-            loss_sum_micro.store(0, Ordering::Relaxed);
-            loss_batches.store(0, Ordering::Relaxed);
+            run.loss_sum_micro.store(0, Ordering::Relaxed);
+            run.loss_batches.store(0, Ordering::Relaxed);
             // Buffer-aware batch ordering: hand the tiered store this
             // epoch's predicted page touch sequence before the workers
             // start. Pure eviction policy — see `plan_epoch_pages`.
             if cfg.batch_ordering {
                 if let StorageTable::Tiered(tt) = &table {
-                    let plan = plan_epoch_pages(
+                    tt.set_epoch_plan(&plan_epoch_pages(
                         tt,
-                        dataset,
-                        &shards,
-                        &cursors,
-                        &batch_sizes,
+                        self.dataset,
+                        &workers,
                         iters_per_epoch,
-                    );
-                    tt.set_epoch_plan(&plan);
+                    ));
                 }
             }
+            let inputs = EpochInputs {
+                epoch,
+                image: ckpt_image.as_ref(),
+            };
             std::thread::scope(|scope| {
-                // Move disjoint &mut of per-worker state into threads.
-                for (w, (((((emb, model), (clock, cursor)), fstate), (slots, pstats)), profiler)) in
-                    embeddings
-                        .iter_mut()
-                        .zip(models.iter_mut())
-                        .zip(clocks.iter_mut().zip(cursors.iter_mut()))
-                        .zip(fault_states.iter_mut())
-                        .zip(slot_pools.iter_mut().zip(pipe_stats.iter_mut()))
-                        .zip(profilers.iter_mut())
-                        .enumerate()
-                {
-                    let shard = &shards[w];
-                    let compute_scale = compute_scales[w];
-                    let batch_size = batch_sizes[w];
-                    let image = ckpt_image.clone();
-                    let recorder = Arc::clone(&worker_recorders[w]);
-                    let pool = gemm_pools[w].clone();
-                    scope.spawn(move || {
-                        run_worker_epoch(WorkerEpoch {
-                            w,
-                            shard,
-                            dataset,
-                            emb: &mut **emb,
-                            model,
-                            slots,
-                            pstats,
-                            pool,
-                            clock,
-                            cursor,
-                            iters: iters_per_epoch,
-                            epoch,
-                            cfg,
-                            strategy,
-                            topology,
-                            cost: cost_ref,
-                            group: group_ref,
-                            ledger: ledger_ref,
-                            dense_bytes,
-                            flops_per_sample,
-                            samples: samples_ctr,
-                            loss_sum_micro: loss_sum_ref,
-                            loss_batches: loss_batches_ref,
-                            compute_scale,
-                            batch_size,
-                            tracer: tracer_ref,
-                            auditor: auditor_ref,
-                            table: table_ref,
-                            partition: partition_ref,
-                            faults: faults_ref,
-                            fstate,
-                            image,
-                            nonfinite: nonfinite_ref,
-                            recorder,
-                            profiler,
-                        });
-                    });
+                for (worker, emb) in workers.iter_mut().zip(embeddings.iter_mut()) {
+                    let (run, inputs) = (&run, &inputs);
+                    scope.spawn(move || run_worker_epoch(run, inputs, worker, &mut **emb));
                 }
             });
 
             // Per-stage histograms leave the workers once per epoch — one
             // merge per (stage, kind) per worker, off the hot path.
-            for (w, prof) in profilers.iter_mut().enumerate() {
-                prof.flush(worker_recorders[w].as_ref());
+            for worker in &mut workers {
+                worker.profiler.flush(worker.recorder.as_ref());
             }
 
             // The epoch's plan is spent; the barrier work below (flushes,
@@ -1160,7 +1105,8 @@ impl<'d> Trainer<'d> {
             // ---- Evaluation barrier -----------------------------------------
             // Flush deferred secondary gradients so the evaluation (and the
             // next epoch) sees every update; charge the write-backs.
-            for (w, (emb, clock)) in embeddings.iter_mut().zip(clocks.iter_mut()).enumerate() {
+            for (worker, emb) in workers.iter_mut().zip(embeddings.iter_mut()) {
+                let (w, clock) = (worker.w, &mut worker.clock);
                 let rep = emb.flush_all(&cfg.embed_opt);
                 if rep.data_bytes > 0 {
                     let mut t = 0.0;
@@ -1180,12 +1126,13 @@ impl<'d> Trainer<'d> {
             // reconstructs (resumed workers warm-load replicas from the
             // restored table), so a resumed run replays the uninterrupted
             // run's math.
-            for (w, (emb, clock)) in embeddings.iter_mut().zip(clocks.iter_mut()).enumerate() {
+            for (worker, emb) in workers.iter_mut().zip(embeddings.iter_mut()) {
                 let refreshed = emb.sync_replicas();
                 if refreshed > 0 {
                     let bytes = refreshed.saturating_mul(cfg.sync_format.row_wire_bytes(cfg.dim));
-                    clock.advance(TimeCategory::EmbedComm, mean_link_time(w, &cost, bytes));
-                    ledger.record(w, TrafficClass::EmbedData, bytes, refreshed);
+                    let t = mean_link_time(worker.w, &cost, bytes);
+                    worker.clock.advance(TimeCategory::EmbedComm, t);
+                    ledger.record(worker.w, TrafficClass::EmbedData, bytes, refreshed);
                 }
             }
 
@@ -1206,11 +1153,12 @@ impl<'d> Trainer<'d> {
                 std::fs::create_dir_all(dir).map_err(|e| HetGmpError::io(dir.clone(), e))?;
                 let state = RunState {
                     epoch: epoch as u64,
-                    workers: (0..n)
-                        .map(|w| WorkerState {
-                            sim_time: clocks[w].now(),
-                            cursor: cursors[w] as u64,
-                            dense_params: models[w].flatten_params(),
+                    workers: workers
+                        .iter_mut()
+                        .map(|worker| WorkerState {
+                            sim_time: worker.clock.now(),
+                            cursor: worker.cursor as u64,
+                            dense_params: worker.model.flatten_params(),
                         })
                         .collect(),
                 };
@@ -1223,9 +1171,9 @@ impl<'d> Trainer<'d> {
                 // link in parallel; charge each one its share.
                 let io_t =
                     cost.link_transfer_time(LinkClass::HostPcie, bytes / n.max(1) as u64);
-                let ckpt_start = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
-                for clock in clocks.iter_mut() {
-                    clock.advance(TimeCategory::HostIo, io_t);
+                let ckpt_start = max_sim_time(&workers);
+                for worker in &mut workers {
+                    worker.clock.advance(TimeCategory::HostIo, io_t);
                 }
                 registry.global().counter_add(names::CHECKPOINT_SAVES, 1);
                 registry.global().counter_add(names::CHECKPOINT_BYTES, bytes);
@@ -1243,22 +1191,19 @@ impl<'d> Trainer<'d> {
                 // Future crashes roll back to this image instead of the
                 // start-of-run one.
                 if ckpt_image.is_some() {
-                    ckpt_image = Some(Arc::new(CheckpointImage::capture(
-                        table.as_store(),
-                        &clocks,
-                        num_dense,
-                    )));
+                    ckpt_image =
+                        Some(CheckpointImage::capture(table.as_store(), &workers, num_dense));
                 }
             }
 
-            let sim_time = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
-            let (auc_v, ll) = self.evaluate(&mut models, table.as_store(), &split.test);
-            let batches = loss_batches.load(Ordering::Relaxed).max(1);
+            let sim_time = max_sim_time(&workers);
+            let (auc_v, ll) = self.evaluate(&mut workers, table.as_store(), &split.test);
+            let batches = run.loss_batches.load(Ordering::Relaxed).max(1);
             let train_loss =
-                loss_sum_micro.load(Ordering::Relaxed) as f64 / 1e6 / batches as f64;
-            let tot_prefetched: u64 = pipe_stats.iter().map(|p| p.prefetched).sum();
-            let tot_batches: u64 = pipe_stats.iter().map(|p| p.batches).sum();
-            let tot_stall: f64 = pipe_stats.iter().map(|p| p.stall_secs).sum();
+                run.loss_sum_micro.load(Ordering::Relaxed) as f64 / 1e6 / batches as f64;
+            let tot_prefetched: u64 = workers.iter().map(|w| w.pstats.prefetched).sum();
+            let tot_batches: u64 = workers.iter().map(|w| w.pstats.batches).sum();
+            let tot_stall: f64 = workers.iter().map(|w| w.pstats.stall_secs).sum();
             let epoch_batches = tot_batches - seen_batches;
             let stage_occupancy = if epoch_batches > 0 {
                 (tot_prefetched - seen_prefetched) as f64 / epoch_batches as f64
@@ -1286,13 +1231,13 @@ impl<'d> Trainer<'d> {
             }
         }
 
-        let per_worker: Vec<TimeBreakdown> = clocks.iter().map(|c| *c.breakdown()).collect();
+        let per_worker: Vec<TimeBreakdown> = workers.iter().map(|w| *w.clock.breakdown()).collect();
         let mut breakdown = TimeBreakdown::default();
         for b in &per_worker {
             breakdown = breakdown.merged(b);
         }
-        let sim_time = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
-        let samples_total = samples_processed.load(Ordering::Relaxed);
+        let sim_time = max_sim_time(&workers);
+        let samples_total = run.samples.load(Ordering::Relaxed);
         let final_auc = curve.last().map_or(0.5, |p| p.auc);
         registry
             .global()
@@ -1359,20 +1304,21 @@ impl<'d> Trainer<'d> {
         // Dense-engine telemetry, aggregated over every slot's tape: real
         // GEMM work done, arena high-water mark, steady-state allocation
         // violations (must stay 0), and dense-path-only throughput.
+        let slots = || workers.iter().flat_map(|w| &w.slots);
         registry.global().counter_add(
             names::DENSE_GEMM_FLOPS,
-            slot_pools.iter().flatten().map(|s| s.tape.flops()).sum::<u64>(),
+            slots().map(|s| s.tape.flops()).sum::<u64>(),
         );
         registry.global().gauge_set(
             names::DENSE_ARENA_BYTES,
-            slot_pools.iter().flatten().map(|s| s.tape.arena_bytes()).sum::<usize>() as f64,
+            slots().map(|s| s.tape.arena_bytes()).sum::<usize>() as f64,
         );
         registry.global().gauge_set(
             names::DENSE_TAPE_GROWTH,
-            slot_pools.iter().flatten().map(|s| s.tape.post_warmup_growth()).sum::<u64>() as f64,
+            slots().map(|s| s.tape.post_warmup_growth()).sum::<u64>() as f64,
         );
-        let dense_secs: f64 = slot_pools.iter().flatten().map(|s| s.tape.dense_secs).sum();
-        let dense_samples: u64 = slot_pools.iter().flatten().map(|s| s.tape.dense_samples).sum();
+        let dense_secs: f64 = slots().map(|s| s.tape.dense_secs).sum();
+        let dense_samples: u64 = slots().map(|s| s.tape.dense_samples).sum();
         registry.global().gauge_set(
             names::DENSE_SAMPLES_PER_SEC,
             if dense_secs > 0.0 {
@@ -1389,18 +1335,18 @@ impl<'d> Trainer<'d> {
         registry
             .global()
             .gauge_set(names::PIPELINE_GEMM_THREADS, cfg.gemm_threads as f64);
-        let prefetched: u64 = pipe_stats.iter().map(|p| p.prefetched).sum();
-        let pipe_batches: u64 = pipe_stats.iter().map(|p| p.batches).sum();
+        let prefetched: u64 = workers.iter().map(|w| w.pstats.prefetched).sum();
+        let pipe_batches: u64 = workers.iter().map(|w| w.pstats.batches).sum();
         registry
             .global()
             .counter_add(names::PIPELINE_PREFETCHED_BATCHES, prefetched);
         registry.global().gauge_set(
             names::PIPELINE_STALL_SECS,
-            pipe_stats.iter().map(|p| p.stall_secs).sum::<f64>(),
+            workers.iter().map(|w| w.pstats.stall_secs).sum::<f64>(),
         );
         registry.global().gauge_set(
             names::PIPELINE_PREFETCH_SECS,
-            pipe_stats.iter().map(|p| p.prefetch_secs).sum::<f64>(),
+            workers.iter().map(|w| w.pstats.prefetch_secs).sum::<f64>(),
         );
         registry.global().gauge_set(
             names::PIPELINE_STAGE_OCCUPANCY,
@@ -1410,8 +1356,8 @@ impl<'d> Trainer<'d> {
                 0.0
             },
         );
-        let hidden: f64 = clocks.iter().map(|c| c.hidden_secs()).sum();
-        let overlappable: f64 = clocks.iter().map(|c| c.overlappable_secs()).sum();
+        let hidden: f64 = workers.iter().map(|w| w.clock.hidden_secs()).sum();
+        let overlappable: f64 = workers.iter().map(|w| w.clock.overlappable_secs()).sum();
         registry.global().gauge_set(
             names::PIPELINE_OVERLAP_RATIO,
             if overlappable > 0.0 { hidden / overlappable } else { 0.0 },
@@ -1421,7 +1367,7 @@ impl<'d> Trainer<'d> {
         // pipeline bench asserts this stays under 2% of hot-path wall time.
         registry.global().gauge_set(
             names::TELEMETRY_OVERHEAD_SECS,
-            profilers.iter().map(StageProfiler::overhead_secs).sum::<f64>(),
+            workers.iter().map(|w| w.profiler.overhead_secs()).sum::<f64>(),
         );
         Ok(TrainResult {
             strategy: self.strategy.name.clone(),
@@ -1444,7 +1390,7 @@ impl<'d> Trainer<'d> {
             partition_metrics,
             telemetry: registry.snapshot(),
             audit: auditor.as_ref().map(|a| a.summary()),
-            nonfinite_batches: nonfinite.load(Ordering::Relaxed),
+            nonfinite_batches: run.nonfinite.load(Ordering::Relaxed),
             manifest,
             capacity,
             curve,
@@ -1455,16 +1401,16 @@ impl<'d> Trainer<'d> {
     /// global embedding table.
     fn evaluate(
         &self,
-        models: &mut [CtrModel],
+        workers: &mut [Worker],
         table: &dyn RowStore,
         test: &[u32],
     ) -> (f64, f64) {
         let cfg = &self.config;
-        let n = models.len();
+        let n = workers.len();
         // Mean dense parameters (identical under BSP; averaged under ASP).
-        let mut mean = models[0].flatten_params();
-        for model in models.iter_mut().skip(1) {
-            for (m, x) in mean.iter_mut().zip(model.flatten_params()) {
+        let mut mean = workers[0].model.flatten_params();
+        for worker in workers.iter_mut().skip(1) {
+            for (m, x) in mean.iter_mut().zip(worker.model.flatten_params()) {
                 *m += x;
             }
         }
@@ -1503,6 +1449,11 @@ impl<'d> Trainer<'d> {
     }
 }
 
+/// The latest simulated time over all workers.
+fn max_sim_time(workers: &[Worker]) -> f64 {
+    workers.iter().map(|w| w.clock.now()).fold(0.0, f64::max)
+}
+
 /// Per-worker fault-injection cursor and accumulated downtime, persistent
 /// across epochs (the schedule is consumed once per run).
 #[derive(Debug, Default)]
@@ -1536,7 +1487,7 @@ pub(crate) struct CheckpointImage {
 }
 
 impl CheckpointImage {
-    fn capture(table: &dyn RowStore, clocks: &[SimClock], dense_len: usize) -> Self {
+    fn capture(table: &dyn RowStore, workers: &[Worker], dense_len: usize) -> Self {
         let rows = table.num_rows();
         let dim = table.dim();
         let mut row_clocks = Vec::with_capacity(rows);
@@ -1556,8 +1507,8 @@ impl CheckpointImage {
             clocks: row_clocks,
             values,
             accums,
-            sim_times: clocks.iter().map(|c| c.now()).collect(),
-            bytes: run_encoded_len(table, clocks.len(), dense_len),
+            sim_times: workers.iter().map(|w| w.clock.now()).collect(),
+            bytes: run_encoded_len(table, workers.len(), dense_len),
         }
     }
 }

@@ -55,7 +55,7 @@ pub use checkpoint::{
 pub use lfu::LfuCache;
 pub use report::{ReadReport, UpdateReport};
 pub use sparse_optim::SparseOpt;
-pub use store::{CapacityStats, ReadPath, ReadPathStats, RowStore, SnapshotReader};
+pub use store::{CapacityStats, ReadPath, ReadPathStats, RowStore};
 pub use table::{BatchScratch, ShardedTable};
 pub use tiered::{TieredConfig, TieredTable};
 pub use worker::{StalenessBound, WorkerEmbedding};

@@ -133,12 +133,12 @@ pub trait RowStore: Sync {
         CapacityStats::default()
     }
 
-    // --- the SnapshotReader capability ---------------------------------
+    // --- snapshot reads ------------------------------------------------
     //
     // Lock-free reads with locked-path fallback. The defaults delegate to
-    // the locked reads, so a store without a snapshot structure is still a
-    // correct (if slower) `SnapshotReader`; `ShardedTable` overrides with
-    // the per-stripe seqlock and `TieredTable` with resident-page copies.
+    // the locked reads, so a store without a snapshot structure still
+    // reads correctly (if slower); `ShardedTable` overrides with the
+    // per-stripe seqlock and `TieredTable` with resident-page copies.
 
     /// Lock-free [`RowStore::read_row`] where the store supports it;
     /// bit-identical to the locked read either way.
@@ -162,59 +162,6 @@ pub trait RowStore: Sync {
     /// Outcome counters of the snapshot read path since construction.
     fn read_path_stats(&self) -> ReadPathStats {
         ReadPathStats::default()
-    }
-}
-
-/// The read-only slice of [`RowStore`] that serving-style consumers need:
-/// snapshot row copies plus the clock/shape accessors to interpret them.
-/// Blanket-implemented for every `RowStore`, so any store — sharded,
-/// tiered, or a test double — can be handed to read-only code as
-/// `&dyn SnapshotReader` without exposing the mutation surface.
-pub trait SnapshotReader: Sync {
-    /// Embedding dimension.
-    fn dim(&self) -> usize;
-    /// Number of rows.
-    fn num_rows(&self) -> usize;
-    /// Current update clock of `row`.
-    fn clock(&self, row: u32) -> u64;
-    /// Lock-free read of `row`; returns the pre-read clock.
-    fn read_row_snapshot(&self, row: u32, out: &mut [f32]) -> u64;
-    /// Batched [`SnapshotReader::read_row_snapshot`].
-    fn read_rows_snapshot(
-        &self,
-        rows: &[u32],
-        out: &mut [f32],
-        clocks: &mut [u64],
-        scratch: &mut BatchScratch,
-    );
-    /// Outcome counters of the snapshot read path since construction.
-    fn read_path_stats(&self) -> ReadPathStats;
-}
-
-impl<T: RowStore + ?Sized> SnapshotReader for T {
-    fn dim(&self) -> usize {
-        RowStore::dim(self)
-    }
-    fn num_rows(&self) -> usize {
-        RowStore::num_rows(self)
-    }
-    fn clock(&self, row: u32) -> u64 {
-        RowStore::clock(self, row)
-    }
-    fn read_row_snapshot(&self, row: u32, out: &mut [f32]) -> u64 {
-        RowStore::read_row_snapshot(self, row, out)
-    }
-    fn read_rows_snapshot(
-        &self,
-        rows: &[u32],
-        out: &mut [f32],
-        clocks: &mut [u64],
-        scratch: &mut BatchScratch,
-    ) {
-        RowStore::read_rows_snapshot(self, rows, out, clocks, scratch)
-    }
-    fn read_path_stats(&self) -> ReadPathStats {
-        RowStore::read_path_stats(self)
     }
 }
 

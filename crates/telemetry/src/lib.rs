@@ -222,7 +222,7 @@ pub mod names {
     pub const DENSE_SAMPLES_PER_SEC: &str = "dense.samples_per_sec";
 
     /// Gauge: configured pipeline depth (`StepCtx` slots per worker; 1 =
-    /// sequential legacy path).
+    /// no prefetch).
     pub const PIPELINE_DEPTH: &str = "pipeline.depth";
     /// Gauge: configured row-panel GEMM threads per worker.
     pub const PIPELINE_GEMM_THREADS: &str = "pipeline.gemm_threads";

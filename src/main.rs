@@ -77,8 +77,8 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   --pipeline-depth N (1..=8, default 1) runs each worker's embedding
   fetch for the next batch on a companion thread while the current batch
   syncs; --gemm-threads N (1..=32, default 1) splits large dense GEMMs
-  into row panels. Both are bit-identical to the sequential schedule on
-  fault-free runs. On 'experiment' they apply to every fig8/table2/
+  into row panels. Both are bit-identical to depth 1 with sequential
+  kernels on fault-free runs. On 'experiment' they apply to every fig8/table2/
   ablation training run.
 
   --sync-format picks the wire encoding for inter-worker embedding rows
