@@ -35,9 +35,9 @@ use hetgmp_cluster::{
 use hetgmp_comms::{AllReduceGroup, SyncFormat, TrafficClass, TrafficLedger};
 use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{
-    load_run, run_encoded_len, save_run, CachedWorkerEmbedding, CapacityStats, EmbeddingWorker,
-    ReadPath, RowStore, RunState, ShardedTable, SparseOpt, StalenessBound, TieredConfig,
-    TieredTable, WorkerEmbedding, WorkerState,
+    load_run, run_encoded_len, save_run, BatchScratch, CachedWorkerEmbedding, CapacityStats,
+    EmbeddingWorker, ReadPath, RowStore, RunState, ShardedTable, SparseOpt, StalenessBound,
+    TieredConfig, TieredTable, WorkerEmbedding, WorkerState,
 };
 use hetgmp_partition::{Partition, PartitionMetrics};
 use hetgmp_telemetry::{
@@ -59,7 +59,7 @@ pub enum StorageMode {
     /// Fully RAM-resident [`ShardedTable`] (the default).
     Memory,
     /// Spillable [`TieredTable`]: hot pages stay in RAM within
-    /// `budget_bytes`, cold pages live in checksummed spill files. Training
+    /// `budget_bytes`, cold pages live in one checksummed spill file. Training
     /// results are bit-identical to [`StorageMode::Memory`] — only where
     /// the bytes live (and the `capacity.*` fault telemetry) changes.
     Tiered {
@@ -864,7 +864,7 @@ impl<'d> Trainer<'d> {
                         dir: dir.clone(),
                         ..TieredConfig::default()
                     },
-                );
+                )?;
                 t.attach_recorder(registry.global());
                 if let Some(tr) = &self.tracer {
                     t.attach_tracer(Arc::clone(tr));
@@ -1405,7 +1405,6 @@ impl<'d> Trainer<'d> {
         table: &dyn RowStore,
         test: &[u32],
     ) -> (f64, f64) {
-        let cfg = &self.config;
         let n = workers.len();
         // Mean dense parameters (identical under BSP; averaged under ASP).
         let mut mean = workers[0].model.flatten_params();
@@ -1417,6 +1416,15 @@ impl<'d> Trainer<'d> {
         for m in &mut mean {
             *m /= n as f32;
         }
+        self.evaluate_params(&mean, table, test)
+    }
+
+    /// Evaluates test AUC/log-loss with dense parameters `params`. Each
+    /// 512-sample chunk is one batched table read straight into the model
+    /// input (rows sample-major, then field-major — the input matrix's own
+    /// layout), so a tiered store loads each page at most once per chunk.
+    fn evaluate_params(&self, params: &[f32], table: &dyn RowStore, test: &[u32]) -> (f64, f64) {
+        let cfg = &self.config;
         let mut eval_model = CtrModel::new(
             cfg.model,
             self.dataset.num_fields,
@@ -1424,24 +1432,24 @@ impl<'d> Trainer<'d> {
             &cfg.hidden,
             cfg.seed,
         );
-        eval_model.load_params(&mean);
+        eval_model.load_params(params);
 
         let take = test.len().min(cfg.max_eval_samples);
         let mut scores = Vec::with_capacity(take);
         let mut labels = Vec::with_capacity(take);
         let fields = self.dataset.num_fields;
-        let dim = cfg.dim;
-        let mut row = vec![0.0f32; dim];
+        let mut ids = Vec::new();
+        let mut clocks = Vec::new();
+        let mut scratch = BatchScratch::default();
         for chunk in test[..take].chunks(512) {
-            let mut input = Matrix::zeros(chunk.len(), fields * dim);
-            for (r, &idx) in chunk.iter().enumerate() {
-                let sample = self.dataset.sample(idx as usize);
-                for (f, &e) in sample.iter().enumerate() {
-                    table.read_row(e, &mut row);
-                    input.row_mut(r)[f * dim..(f + 1) * dim].copy_from_slice(&row);
-                }
+            ids.clear();
+            for &idx in chunk {
+                ids.extend_from_slice(self.dataset.sample(idx as usize));
                 labels.push(self.dataset.label(idx as usize));
             }
+            clocks.resize(ids.len(), 0);
+            let mut input = Matrix::zeros(chunk.len(), fields * cfg.dim);
+            table.read_rows(&ids, input.data_mut(), &mut clocks, &mut scratch);
             let logits = eval_model.forward(&input);
             scores.extend(logits.data().iter().map(|&z| 1.0 / (1.0 + (-z).exp())));
         }
@@ -2004,5 +2012,79 @@ mod tests {
             r.final_auc
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One evaluation over a tiered table past its budget reads each
+    /// 512-sample chunk as one page-grouped batch: every page loads at most
+    /// once per chunk (per-row reads would fault on nearly every row), and
+    /// the scores are bit-equal to the same evaluation in memory.
+    #[test]
+    fn batched_eval_loads_each_page_at_most_once_per_chunk() {
+        let mut spec = DatasetSpec::tiny();
+        spec.num_samples = 4096;
+        let data = generate(&spec);
+        let rows_per_page = 4;
+        let budget_bytes = 4 * rows_per_page * 8 * 4; // 4 of 30 pages
+        let cfg = TrainerConfig {
+            test_fraction: 0.5,
+            max_eval_samples: 8192,
+            ..fast_config()
+        };
+        let trainer = Trainer::new(
+            &data,
+            Topology::pcie_island(1),
+            StrategyConfig::het_gmp(0),
+            cfg.clone(),
+        );
+        let test = data.split(cfg.test_fraction).test;
+        let params =
+            CtrModel::new(cfg.model, data.num_fields, cfg.dim, &cfg.hidden, cfg.seed)
+                .flatten_params();
+        let tiered = TieredTable::new(
+            data.num_features,
+            cfg.dim,
+            0.05,
+            cfg.seed,
+            TieredConfig {
+                budget_bytes,
+                dir: None,
+                rows_per_page,
+            },
+        )
+        .expect("spill file");
+        let before = tiered.capacity_stats().fault_loads;
+        let got = trainer.evaluate_params(&params, &tiered, &test);
+        let loads = tiered.capacity_stats().fault_loads - before;
+        let bound = test.len().min(cfg.max_eval_samples).div_ceil(512) * tiered.num_pages();
+        assert!(loads > 0, "budget too large: evaluation never faulted");
+        assert!(loads as usize <= bound, "{loads} page loads > bound {bound}");
+
+        let mem = ShardedTable::new(data.num_features, cfg.dim, 0.05, cfg.seed);
+        let want = trainer.evaluate_params(&params, &mem, &test);
+        assert_eq!(got.0.to_bits(), want.0.to_bits(), "AUC {} vs {}", got.0, want.0);
+        assert_eq!(got.1.to_bits(), want.1.to_bits(), "log-loss {} vs {}", got.1, want.1);
+    }
+
+    #[test]
+    fn unusable_spill_dir_is_an_io_error() {
+        let file =
+            std::env::temp_dir().join(format!("hetgmp-trainer-notdir-{}", std::process::id()));
+        std::fs::write(&file, b"x").unwrap();
+        let err = Trainer::new(
+            &tiny_dataset(),
+            Topology::pcie_island(1),
+            StrategyConfig::het_gmp(0),
+            TrainerConfig {
+                storage: StorageMode::Tiered {
+                    budget_bytes: 1 << 10,
+                    dir: Some(file.join("spill")),
+                },
+                ..fast_config()
+            },
+        )
+        .try_run()
+        .expect_err("a spill dir below a regular file cannot be created");
+        assert_eq!(err.exit_code(), 74, "{err}");
+        let _ = std::fs::remove_file(&file);
     }
 }

@@ -58,7 +58,7 @@ pub struct ReadPathStats {
 /// All-zero for fully resident stores.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CapacityStats {
-    /// Cold pages loaded back from spill files (page faults).
+    /// Cold pages loaded back from the spill file (page faults).
     pub fault_loads: u64,
     /// Resident pages evicted to stay inside the RAM budget.
     pub evictions: u64,
@@ -123,7 +123,7 @@ pub trait RowStore: Sync {
     /// Data-path lock acquisitions since construction (what the batched
     /// API amortises; see [`ShardedTable::lock_acquisitions`]).
     fn lock_acquisitions(&self) -> u64;
-    /// Bytes whose authoritative copy currently lives in spill files.
+    /// Bytes whose authoritative copy currently lives in the spill file.
     /// 0 for fully resident stores.
     fn spilled_bytes(&self) -> u64 {
         0

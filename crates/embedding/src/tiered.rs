@@ -1,5 +1,5 @@
-//! The spillable storage tier: hot pages in RAM, cold pages in checksummed
-//! spill files (§7.4 capacity story past the host's memory).
+//! The spillable storage tier: hot pages in RAM, cold pages in one
+//! checksummed spill file (§7.4 capacity story past the host's memory).
 //!
 //! [`TieredTable`] implements the exact [`RowStore`] surface of
 //! [`crate::ShardedTable`] — same batched API, same per-row FP operation
@@ -12,36 +12,48 @@
 //!
 //! Rows are grouped into fixed-size **pages** of `rows_per_page`
 //! consecutive rows. A partition-aware buffer manager keeps pages resident
-//! up to a configured byte budget; colder pages live in explicit-IO spill
-//! files. Per-row update clocks always stay in RAM (they are 8 bytes/row
-//! and every staleness decision reads them), so spilling never perturbs
-//! the bounded-asynchrony protocol.
+//! up to a configured byte budget; colder pages live in the spill file.
+//! Per-row update clocks always stay in RAM (they are 8 bytes/row and
+//! every staleness decision reads them), so spilling never perturbs the
+//! bounded-asynchrony protocol.
 //!
 //! Initial values replicate [`crate::ShardedTable::new`]'s per-stripe RNG
 //! exactly (stripe = `row % 256`, offset `(row / 256) * dim`), then cold
 //! pages are spilled until the pool fits the budget — a fresh tiered table
 //! reads back bit-for-bit what the in-memory table holds.
 //!
-//! # Spill files
+//! # Spill file
 //!
-//! One file per page, written tmp → fsync → rename:
+//! One preallocated file, `spill.bin`, of `num_pages × slot_bytes` bytes:
+//! page `p` owns the slot at `p × slot_bytes`, sized for a full page with
+//! accumulators. An eviction is one positional write of the page image; a
+//! fault is one positional read of exactly the image length the page's
+//! RAM-resident `has_accum` flag implies. The image:
 //!
 //! ```text
 //! magic     4 bytes   "HGPG"
-//! version   u32       1
+//! version   u32       2
 //! page      u64
 //! rows      u64       rows in this page
 //! dim       u64
 //! has_accum u8
 //! rows × ( clock u64, dim × f32 values, [dim × f32 accum] )   // HGMP row encoding
-//! checksum  u64       FNV-1a 64 over every preceding byte
+//! checksum  u64       word-wise FNV-1a 64 over every preceding byte
 //! ```
 //!
-//! The trailing checksum makes torn writes (a crash between write and
-//! fsync) detectable: loads verify it and reject the file, and
-//! [`TieredTable::verify_page_file`] exposes the same check to tests and
-//! tooling. Stored clocks are informational only — the RAM-resident clock
-//! array stays authoritative across a spill/load round-trip.
+//! Every load checks the header against the page it expects and the
+//! trailing checksum, so a torn or misplaced image (a short write, a bit
+//! flip, another page's bytes) is refused rather than served;
+//! [`TieredTable::verify_page`] runs the same check for tests and tooling.
+//! Stored clocks are informational only — the RAM-resident clock array
+//! stays authoritative across a spill/load round-trip.
+//!
+//! The file is process scratch, not a durable store: nothing reads it
+//! after the process exits (a resumed run loads an HGMR checkpoint), so
+//! writes are never synced, and [`Drop`] removes it. Construction I/O
+//! failures (spill directory, file creation, preallocation) are returned
+//! as [`HetGmpError::Io`]; a positional read or write failing mid-run
+//! panics.
 //!
 //! # Eviction
 //!
@@ -54,8 +66,8 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::os::unix::fs::FileExt as _;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -63,7 +75,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hetgmp_telemetry::{names, Json, Recorder, TraceCollector};
+use hetgmp_telemetry::{names, HetGmpError, Json, Recorder, TraceCollector};
 
 use crate::sparse_optim::SparseOpt;
 use crate::store::{CapacityStats, ReadPathStats, RowStore};
@@ -74,15 +86,53 @@ use crate::table::BatchScratch;
 const STRIPES: usize = 256;
 
 const PAGE_MAGIC: &[u8; 4] = b"HGPG";
-const PAGE_VERSION: u32 = 1;
+const PAGE_VERSION: u32 = 2;
+/// Image header: magic, version, page, rows, dim, has_accum.
+const HEADER: usize = 4 + 4 + 8 + 8 + 8 + 1;
+/// Name of the spill file inside the spill directory.
+const SPILL_FILE: &str = "spill.bin";
 
+/// FNV-1a 64 folded over 8-byte little-endian words, then the byte tail.
+/// Each fold step is a bijection of the state for a fixed input word, so
+/// changing any one word (or tail byte) always changes the hash.
 fn fnv1a(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    for w in words {
+        h ^= u64::from_le_bytes(w.try_into().expect("8-byte word"));
+        h = h.wrapping_mul(PRIME);
+    }
+    for &b in tail {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// Writes `xs` little-endian into `out` (`out.len() == 4 * xs.len()`).
+fn put_f32s(out: &mut [u8], xs: &[f32]) {
+    for (o, x) in out.chunks_exact_mut(4).zip(xs) {
+        o.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Reads little-endian `f32`s from `bytes` into `out`.
+fn get_f32s(bytes: &[u8], out: &mut [f32]) {
+    for (x, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *x = f32::from_le_bytes(b.try_into().expect("4-byte f32"));
+    }
+}
+
+/// Bytes of one encoded row: clock, values, and accumulators if present.
+fn row_bytes(dim: usize, has_accum: bool) -> usize {
+    8 + dim * 4 * (1 + usize::from(has_accum))
+}
+
+/// Length of one page image: header, `rows` encoded rows, checksum.
+fn image_len(rows: usize, dim: usize, has_accum: bool) -> usize {
+    HEADER + rows * row_bytes(dim, has_accum) + 8
 }
 
 /// Configuration of the spillable tier.
@@ -92,8 +142,8 @@ pub struct TieredConfig {
     /// transiently while a faulted page is pinned, never at rest (as long
     /// as at least one page fits).
     pub budget_bytes: usize,
-    /// Directory for spill files. `None` creates (and removes on drop) a
-    /// unique directory under the system temp dir.
+    /// Directory for the spill file. `None` creates (and removes on drop)
+    /// a unique directory under the system temp dir.
     pub dir: Option<PathBuf>,
     /// Rows per page; `0` sizes pages to ≈32 KiB of values, capped at a
     /// quarter of `budget_bytes` so small budgets still get several
@@ -141,6 +191,8 @@ struct TierState {
     loads: u64,
     evictions: u64,
     writebacks: u64,
+    /// Reused image buffer for spill writes and fault loads.
+    io_buf: Vec<u8>,
     recorder: Option<Arc<dyn Recorder>>,
     tracer: Option<Arc<TraceCollector>>,
 }
@@ -157,6 +209,9 @@ pub struct TieredTable {
     budget_bytes: u64,
     dir: PathBuf,
     own_dir: bool,
+    /// The spill file: one `slot_bytes` slot per page.
+    file: fs::File,
+    slot_bytes: u64,
     clocks: Vec<AtomicU64>,
     lock_acquisitions: AtomicU64,
     /// Snapshot-path rows served from already-resident pages (no fault).
@@ -176,9 +231,19 @@ impl TieredTable {
     /// (Construction materialises the table once to replicate the
     /// in-memory init exactly; the budget bounds the pool from then on.)
     ///
+    /// # Errors
+    /// [`HetGmpError::Io`] if the spill directory or the spill file cannot
+    /// be created or preallocated.
+    ///
     /// # Panics
-    /// Panics if `dim == 0` or on spill-directory I/O failure.
-    pub fn new(num_rows: usize, dim: usize, init_scale: f32, seed: u64, config: TieredConfig) -> Self {
+    /// Panics if `dim == 0`.
+    pub fn new(
+        num_rows: usize,
+        dim: usize,
+        init_scale: f32,
+        seed: u64,
+        config: TieredConfig,
+    ) -> Result<Self, HetGmpError> {
         assert!(dim > 0, "dim must be positive");
         let rows_per_page = if config.rows_per_page > 0 {
             config.rows_per_page
@@ -191,6 +256,7 @@ impl TieredTable {
             (8192 / dim).max(1).min(budget_cap)
         };
         let num_pages = num_rows.div_ceil(rows_per_page);
+        let slot_bytes = image_len(rows_per_page, dim, true) as u64;
         let (dir, own_dir) = match config.dir {
             Some(d) => (d, false),
             None => {
@@ -202,8 +268,21 @@ impl TieredTable {
                 (std::env::temp_dir().join(unique), true)
             }
         };
-        fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("tiered: cannot create spill dir {}: {e}", dir.display()));
+        fs::create_dir_all(&dir).map_err(|e| HetGmpError::io(&dir, e))?;
+        let path = dir.join(SPILL_FILE);
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .and_then(|f| f.set_len(num_pages as u64 * slot_bytes).map(|()| f))
+            .map_err(|e| {
+                if own_dir {
+                    let _ = fs::remove_dir_all(&dir);
+                }
+                HetGmpError::io(&path, e)
+            })?;
 
         // Replicate the in-memory store's per-stripe init RNG, then
         // scatter stripes into contiguous row pages.
@@ -250,6 +329,8 @@ impl TieredTable {
             budget_bytes: config.budget_bytes as u64,
             dir,
             own_dir,
+            file,
+            slot_bytes,
             clocks: (0..num_rows).map(|_| AtomicU64::new(0)).collect(),
             lock_acquisitions: AtomicU64::new(0),
             snapshot_rows: AtomicU64::new(0),
@@ -264,6 +345,7 @@ impl TieredTable {
                 loads: 0,
                 evictions: 0,
                 writebacks: 0,
+                io_buf: Vec::new(),
                 recorder: None,
                 tracer: None,
             }),
@@ -278,7 +360,7 @@ impl TieredTable {
             st.evictions = 0;
             st.writebacks = 0;
         }
-        table
+        Ok(table)
     }
 
     /// Rows per page (constant for the table's lifetime).
@@ -295,11 +377,6 @@ impl TieredTable {
     #[inline]
     pub fn page_of_row(&self, row: u32) -> u32 {
         (row as usize / self.rows_per_page) as u32
-    }
-
-    /// Spill directory in use.
-    pub fn spill_dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Attaches a telemetry recorder for `capacity.fault.*` counters.
@@ -339,18 +416,12 @@ impl TieredTable {
         st.plan_active = false;
     }
 
-    /// Structural + checksum validation of one spill file, the same check
-    /// every fault-in load performs: magic, version, shape consistency,
-    /// and the trailing FNV-1a 64 checksum. A torn write (crash between
-    /// write and fsync, truncation, bit flip) fails here and is never
-    /// loaded.
-    pub fn verify_page_file(path: &Path) -> Result<(), String> {
-        let bytes = fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::parse_page_bytes(&bytes, None, None, None).map(|_| ())
-    }
-
-    fn page_file(&self, page: usize) -> PathBuf {
-        self.dir.join(format!("page-{page:06}.pg"))
+    /// Validates the image in a spilled `page`'s slot with the check every
+    /// fault-in load performs: checksum, magic, and a header matching this
+    /// page's version, id, row count, dim and accumulator flag. A torn,
+    /// corrupt or misplaced image fails here and is never loaded.
+    pub fn verify_page(&self, page: usize) -> Result<(), String> {
+        self.read_page(&self.state.lock(), page, &mut Vec::new()).map(|_| ())
     }
 
     #[inline]
@@ -372,134 +443,86 @@ impl TieredTable {
         }
     }
 
-    /// Parses and validates a page file image. When `expect_*` are given
-    /// the header must match them exactly. Returns `(values, accum)`.
-    fn parse_page_bytes(
-        bytes: &[u8],
-        expect_page: Option<u64>,
-        expect_rows: Option<u64>,
-        expect_dim: Option<u64>,
+    /// Reads `page`'s image from its slot into `buf` (exactly the length
+    /// the page's `has_accum` implies), validates it against the expected
+    /// header, and decodes it. Returns `(values, accum)`.
+    fn read_page(
+        &self,
+        st: &TierState,
+        page: usize,
+        buf: &mut Vec<u8>,
     ) -> Result<(Vec<f32>, Option<Vec<f32>>), String> {
-        const HEADER: usize = 4 + 4 + 8 + 8 + 8 + 1;
-        if bytes.len() < HEADER + 8 {
-            return Err(format!("file too short ({} bytes)", bytes.len()));
-        }
-        let (body, footer) = bytes.split_at(bytes.len() - 8);
+        let (rows, dim, has_accum) = (self.rows_in_page(page), self.dim, st.pages[page].has_accum);
+        buf.clear();
+        buf.resize(image_len(rows, dim, has_accum), 0);
+        self.file
+            .read_exact_at(buf, page as u64 * self.slot_bytes)
+            .map_err(|e| format!("read slot {page}: {e}"))?;
+        let (body, footer) = buf.split_at(buf.len() - 8);
         let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
         let computed = fnv1a(body);
         if stored != computed {
             return Err(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}): torn or corrupt spill file"
+                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}): \
+                 torn or corrupt page image"
             ));
         }
         if &body[0..4] != PAGE_MAGIC {
             return Err(format!("magic {:?} != {PAGE_MAGIC:?}", &body[0..4]));
         }
+        let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("u64"));
         let version = u32::from_le_bytes(body[4..8].try_into().expect("u32"));
-        if version != PAGE_VERSION {
-            return Err(format!("page version {version} unsupported"));
-        }
-        let page = u64::from_le_bytes(body[8..16].try_into().expect("u64"));
-        let rows = u64::from_le_bytes(body[16..24].try_into().expect("u64"));
-        let dim = u64::from_le_bytes(body[24..32].try_into().expect("u64"));
-        let has_accum = match body[32] {
-            0 => false,
-            1 => true,
-            other => return Err(format!("corrupt accumulator flag {other}")),
-        };
-        if let Some(e) = expect_page {
-            if page != e {
-                return Err(format!("page id {page} != expected {e}"));
+        let header = [
+            ("page version", u64::from(version), u64::from(PAGE_VERSION)),
+            ("page id", word(8), page as u64),
+            ("row count", word(16), rows as u64),
+            ("dim", word(24), dim as u64),
+            ("accumulator flag", u64::from(body[32]), u64::from(has_accum)),
+        ];
+        for (what, got, want) in header {
+            if got != want {
+                return Err(format!("{what} {got} != expected {want}"));
             }
         }
-        if let Some(e) = expect_rows {
-            if rows != e {
-                return Err(format!("row count {rows} != expected {e}"));
-            }
-        }
-        if let Some(e) = expect_dim {
-            if dim != e {
-                return Err(format!("dim {dim} != expected {e}"));
-            }
-        }
-        let per_row = 8 + dim as usize * 4 * if has_accum { 2 } else { 1 };
-        let expected_len = HEADER + rows as usize * per_row;
-        if body.len() != expected_len {
-            return Err(format!(
-                "payload length {} != header-implied {expected_len}",
-                body.len()
-            ));
-        }
-        let n = (rows * dim) as usize;
-        let mut values = Vec::with_capacity(n);
-        let mut accum = if has_accum { Vec::with_capacity(n) } else { Vec::new() };
-        let mut off = HEADER;
-        for _ in 0..rows {
-            off += 8; // stored clock: informational; RAM clocks are authoritative
-            for _ in 0..dim {
-                values.push(f32::from_le_bytes(
-                    body[off..off + 4].try_into().expect("f32"),
-                ));
-                off += 4;
-            }
+        let mut values = vec![0.0f32; rows * dim];
+        let mut accum = if has_accum { vec![0.0f32; rows * dim] } else { Vec::new() };
+        // The stored clock (first 8 bytes of a row) is informational; RAM
+        // clocks are authoritative.
+        for (local, rec) in body[HEADER..].chunks_exact(row_bytes(dim, has_accum)).enumerate() {
+            let (vals, acc) = rec[8..].split_at(dim * 4);
+            get_f32s(vals, &mut values[local * dim..(local + 1) * dim]);
             if has_accum {
-                for _ in 0..dim {
-                    accum.push(f32::from_le_bytes(
-                        body[off..off + 4].try_into().expect("f32"),
-                    ));
-                    off += 4;
-                }
+                get_f32s(acc, &mut accum[local * dim..(local + 1) * dim]);
             }
         }
-        Ok((values, if has_accum { Some(accum) } else { None }))
+        Ok((values, has_accum.then_some(accum)))
     }
 
-    /// Serialises a resident page and writes its spill file atomically:
-    /// tmp file, fsync, rename. A crash before the rename leaves the old
-    /// file (if any) intact; a crash mid-write leaves a tmp file whose
-    /// truncated image the checksum rejects.
-    fn write_page_file(&self, page: usize, data: &[f32], accum: Option<&[f32]>) {
-        let rows = self.rows_in_page(page);
-        let per_row = 8 + self.dim * 4 * if accum.is_some() { 2 } else { 1 };
-        let mut buf = Vec::with_capacity(4 + 4 + 8 + 8 + 8 + 1 + rows * per_row + 8);
-        buf.extend_from_slice(PAGE_MAGIC);
-        buf.extend_from_slice(&PAGE_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(page as u64).to_le_bytes());
-        buf.extend_from_slice(&(rows as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.dim as u64).to_le_bytes());
-        buf.push(u8::from(accum.is_some()));
-        for local in 0..rows {
+    /// Serialises a page image into `buf` (resized to the image length).
+    fn encode_page(&self, page: usize, data: &[f32], accum: Option<&[f32]>, buf: &mut Vec<u8>) {
+        let (rows, dim) = (self.rows_in_page(page), self.dim);
+        let len = image_len(rows, dim, accum.is_some());
+        buf.clear();
+        buf.resize(len, 0);
+        buf[0..4].copy_from_slice(PAGE_MAGIC);
+        buf[4..8].copy_from_slice(&PAGE_VERSION.to_le_bytes());
+        buf[8..16].copy_from_slice(&(page as u64).to_le_bytes());
+        buf[16..24].copy_from_slice(&(rows as u64).to_le_bytes());
+        buf[24..32].copy_from_slice(&(dim as u64).to_le_bytes());
+        buf[32] = u8::from(accum.is_some());
+        let per_row = row_bytes(dim, accum.is_some());
+        for (local, rec) in buf[HEADER..len - 8].chunks_exact_mut(per_row).enumerate() {
             let row = page * self.rows_per_page + local;
-            let clock = self.clocks[row].load(Ordering::Relaxed);
-            buf.extend_from_slice(&clock.to_le_bytes());
-            for &x in &data[local * self.dim..(local + 1) * self.dim] {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
+            let (clock, rest) = rec.split_at_mut(8);
+            clock.copy_from_slice(&self.clocks[row].load(Ordering::Relaxed).to_le_bytes());
+            let (vals, acc) = rest.split_at_mut(dim * 4);
+            put_f32s(vals, &data[local * dim..(local + 1) * dim]);
             if let Some(a) = accum {
-                for &x in &a[local * self.dim..(local + 1) * self.dim] {
-                    buf.extend_from_slice(&x.to_le_bytes());
-                }
+                put_f32s(acc, &a[local * dim..(local + 1) * dim]);
             }
         }
-        let checksum = fnv1a(&buf);
-        buf.extend_from_slice(&checksum.to_le_bytes());
-
-        let final_path = self.page_file(page);
-        let tmp_path = self.dir.join(format!("page-{page:06}.tmp"));
-        let mut f = fs::File::create(&tmp_path)
-            .unwrap_or_else(|e| panic!("tiered: create {}: {e}", tmp_path.display()));
-        f.write_all(&buf)
-            .unwrap_or_else(|e| panic!("tiered: write {}: {e}", tmp_path.display()));
-        f.sync_all()
-            .unwrap_or_else(|e| panic!("tiered: fsync {}: {e}", tmp_path.display()));
-        drop(f);
-        fs::rename(&tmp_path, &final_path).unwrap_or_else(|e| {
-            panic!(
-                "tiered: rename {} -> {}: {e}",
-                tmp_path.display(),
-                final_path.display()
-            )
-        });
+        let checksum = fnv1a(&buf[..len - 8]);
+        buf[len - 8..].copy_from_slice(&checksum.to_le_bytes());
     }
 
     fn emit_fault(&self, st: &TierState, page: usize, kind: &str, counter: &str) {
@@ -524,16 +547,11 @@ impl TieredTable {
     /// Callers pin the page first so the budget pass never drops it.
     fn ensure_resident(&self, st: &mut TierState, page: usize) {
         if st.pages[page].data.is_none() {
-            let path = self.page_file(page);
-            let bytes = fs::read(&path)
-                .unwrap_or_else(|e| panic!("tiered: fault load {}: {e}", path.display()));
-            let (values, accum) = Self::parse_page_bytes(
-                &bytes,
-                Some(page as u64),
-                Some(self.rows_in_page(page) as u64),
-                Some(self.dim as u64),
-            )
-            .unwrap_or_else(|e| panic!("tiered: spill file {} rejected: {e}", path.display()));
+            let mut buf = std::mem::take(&mut st.io_buf);
+            let (values, accum) = self
+                .read_page(st, page, &mut buf)
+                .unwrap_or_else(|e| panic!("tiered: page {page} rejected on load: {e}"));
+            st.io_buf = buf;
             let pb = self.page_bytes(st, page);
             let pg = &mut st.pages[page];
             pg.data = Some(values);
@@ -578,16 +596,17 @@ impl TieredTable {
 
     fn evict(&self, st: &mut TierState, page: usize) {
         let pb = self.page_bytes(st, page);
-        let dirty = st.pages[page].dirty;
-        if dirty {
-            let data = st.pages[page].data.take().expect("evicting resident page");
-            let accum = st.pages[page].accum.take();
-            self.write_page_file(page, &data, accum.as_deref());
+        let data = st.pages[page].data.take().expect("evicting resident page");
+        let accum = st.pages[page].accum.take();
+        if st.pages[page].dirty {
+            let mut buf = std::mem::take(&mut st.io_buf);
+            self.encode_page(page, &data, accum.as_deref(), &mut buf);
+            self.file
+                .write_all_at(&buf, page as u64 * self.slot_bytes)
+                .unwrap_or_else(|e| panic!("tiered: write page {page} to spill file: {e}"));
+            st.io_buf = buf;
             st.writebacks += 1;
             self.emit_fault(st, page, "writeback", names::CAPACITY_FAULT_WRITEBACKS);
-        } else {
-            st.pages[page].data = None;
-            st.pages[page].accum = None;
         }
         st.pages[page].dirty = false;
         st.resident_bytes -= pb;
@@ -625,50 +644,135 @@ impl TieredTable {
         st: &mut TierState,
         page: usize,
         consumes_plan: bool,
-        f: impl FnOnce(&Self, &mut TierState) -> R,
+        f: impl FnOnce(&mut TierState) -> R,
     ) -> R {
         st.pages[page].pinned = true;
         self.ensure_resident(st, page);
         self.touch(st, page, consumes_plan);
-        let r = f(self, &mut *st);
+        let r = f(&mut *st);
         st.pages[page].pinned = false;
         r
+    }
+
+    /// Runs `f(state, page, slot)` on `row`'s page, pinned resident, where
+    /// `slot` is the row's value offset in the page.
+    fn with_row<R>(&self, row: u32, f: impl FnOnce(&mut TierState, usize, usize) -> R) -> R {
+        self.assert_row(row);
+        let (page, slot) = self.locate(row);
+        let mut st = self.state.lock();
+        self.with_page(&mut st, page, false, |st| f(st, page, slot))
+    }
+
+    /// The batched access loop: groups `rows` by page and runs
+    /// `f(state, page, was_resident, group)` once per page with the page
+    /// pinned resident, where `group` lists the batch positions of that
+    /// page's rows in submission order (so duplicate rows keep the caller's
+    /// order). One lock acquisition is counted per group.
+    fn for_each_page(
+        &self,
+        rows: &[u32],
+        scratch: &mut BatchScratch,
+        consumes_plan: bool,
+        mut f: impl FnMut(&mut TierState, usize, bool, &[u32]),
+    ) {
+        for &row in rows {
+            self.assert_row(row);
+        }
+        scratch.group_by(rows, self.num_pages, |row| row as usize / self.rows_per_page);
+        let page_at = |k: u32| rows[k as usize] as usize / self.rows_per_page;
+        let mut st = self.state.lock();
+        let perm = scratch.perm();
+        let mut i = 0;
+        while i < perm.len() {
+            let page = page_at(perm[i]);
+            let end = i + perm[i..].iter().take_while(|&&k| page_at(k) == page).count();
+            self.count_lock();
+            let resident = st.pages[page].data.is_some();
+            self.with_page(&mut st, page, consumes_plan, |st| {
+                f(st, page, resident, &perm[i..end]);
+            });
+            i = end;
+        }
+    }
+
+    /// Copies `row` into `out`; returns its pre-read clock and whether its
+    /// page was already resident (no fault).
+    fn read_one(&self, row: u32, out: &mut [f32]) -> (u64, bool) {
+        assert_eq!(out.len(), self.dim, "output buffer length != dim");
+        self.assert_row(row);
+        let clock = self.clock(row);
+        let (page, slot) = self.locate(row);
+        self.count_lock();
+        let mut st = self.state.lock();
+        let resident = st.pages[page].data.is_some();
+        self.with_page(&mut st, page, false, |st| {
+            let data = st.pages[page].data.as_ref().expect("page resident");
+            out.copy_from_slice(&data[slot..slot + self.dim]);
+        });
+        (clock, resident)
+    }
+
+    /// Copies the rows at batch positions `group` (all on `page`, which is
+    /// resident) into `out`, with their clocks.
+    fn copy_group(
+        &self,
+        st: &TierState,
+        page: usize,
+        group: &[u32],
+        rows: &[u32],
+        out: &mut [f32],
+        clocks: &mut [u64],
+    ) {
+        let data = st.pages[page].data.as_ref().expect("page resident");
+        let dim = self.dim;
+        for &k in group {
+            let (k, row) = (k as usize, rows[k as usize]);
+            clocks[k] = self.clocks[row as usize].load(Ordering::Acquire);
+            let slot = (row as usize % self.rows_per_page) * dim;
+            out[k * dim..(k + 1) * dim].copy_from_slice(&data[slot..slot + dim]);
+        }
+    }
+
+    /// Allocates `page`'s (zeroed) accumulators if it has none yet. The
+    /// first allocation doubles the page's footprint, which is charged to
+    /// the pool.
+    fn ensure_accum(st: &mut TierState, page: usize) {
+        let pg = &mut st.pages[page];
+        if pg.accum.is_none() {
+            let len = pg.data.as_ref().expect("page resident").len();
+            pg.accum = Some(vec![0.0; len]);
+            if !pg.has_accum {
+                pg.has_accum = true;
+                st.resident_bytes += (len * 4) as u64;
+            }
+        }
     }
 
     /// The single-row update body — the same FP operation sequence as
     /// `ShardedTable::apply_in_shard`, applied to the page buffers, which
     /// is what keeps the two stores bit-identical.
-    fn apply_to_page(st: &mut TierState, page: usize, slot: usize, dim: usize, grad: &[f32], opt: &SparseOpt) {
+    fn apply_to_page(st: &mut TierState, page: usize, slot: usize, grad: &[f32], opt: &SparseOpt) {
+        let dim = grad.len();
+        if let SparseOpt::Adagrad { .. } = opt {
+            Self::ensure_accum(st, page);
+        }
         let pg = &mut st.pages[page];
+        let data = &mut pg.data.as_mut().expect("page resident")[slot..slot + dim];
         match *opt {
             SparseOpt::Sgd { lr } => {
-                let data = pg.data.as_mut().expect("page resident");
-                for (p, &g) in data[slot..slot + dim].iter_mut().zip(grad) {
+                for (p, &g) in data.iter_mut().zip(grad) {
                     *p -= lr * g;
                 }
             }
             SparseOpt::Adagrad { lr, eps } => {
-                let len = pg.data.as_ref().expect("page resident").len();
-                if pg.accum.is_none() {
-                    pg.accum = Some(vec![0.0; len]);
-                    if !pg.has_accum {
-                        pg.has_accum = true;
-                        // The page's footprint just doubled (values +
-                        // accumulators); charge the pool.
-                        st.resident_bytes += (len * 4) as u64;
-                    }
-                }
-                let pg = &mut st.pages[page];
-                let data = pg.data.as_mut().expect("page resident");
                 let accum = pg.accum.as_mut().expect("accumulator allocated above");
-                let acc = &mut accum[slot..slot + dim];
-                for ((p, &g), a) in data[slot..slot + dim].iter_mut().zip(grad).zip(acc.iter_mut()) {
+                for ((p, &g), a) in data.iter_mut().zip(grad).zip(&mut accum[slot..slot + dim]) {
                     *a += g * g;
                     *p -= lr * g / (a.sqrt() + eps);
                 }
             }
         }
-        st.pages[page].dirty = true;
+        pg.dirty = true;
     }
 
     #[inline]
@@ -681,8 +785,11 @@ impl TieredTable {
 
 impl Drop for TieredTable {
     fn drop(&mut self) {
+        // Process scratch: nothing reads the spill file after this table.
         if self.own_dir {
             let _ = fs::remove_dir_all(&self.dir);
+        } else {
+            let _ = fs::remove_file(self.dir.join(SPILL_FILE));
         }
     }
 }
@@ -701,67 +808,21 @@ impl RowStore for TieredTable {
     }
 
     fn read_row(&self, row: u32, out: &mut [f32]) -> u64 {
-        assert_eq!(out.len(), self.dim, "output buffer length != dim");
-        self.assert_row(row);
-        let clock = self.clock(row);
-        let (page, slot) = self.locate(row);
-        self.count_lock();
-        let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |t, st| {
-            let data = st.pages[page].data.as_ref().expect("page resident");
-            out.copy_from_slice(&data[slot..slot + t.dim]);
-        });
-        clock
+        self.read_one(row, out).0
     }
 
     fn read_rows(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64], scratch: &mut BatchScratch) {
-        assert_eq!(
-            out.len(),
-            rows.len() * self.dim,
-            "output buffer length != rows * dim"
-        );
+        assert_eq!(out.len(), rows.len() * self.dim, "output buffer length != rows * dim");
         assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
-        for &row in rows {
-            self.assert_row(row);
-        }
-        scratch.group_by(rows, self.num_pages, |row| {
-            row as usize / self.rows_per_page
+        self.for_each_page(rows, scratch, true, |st, page, _, group| {
+            self.copy_group(st, page, group, rows, out, clocks);
         });
-        let dim = self.dim;
-        let mut st = self.state.lock();
-        let perm = scratch.perm();
-        let mut i = 0;
-        while i < perm.len() {
-            let page = rows[perm[i] as usize] as usize / self.rows_per_page;
-            self.count_lock();
-            self.with_page(&mut st, page, true, |_, st| {
-                let data = st.pages[page].data.as_ref().expect("page resident");
-                while i < perm.len() {
-                    let k = perm[i] as usize;
-                    let row = rows[k];
-                    if row as usize / self.rows_per_page != page {
-                        break;
-                    }
-                    clocks[k] = self.clocks[row as usize].load(Ordering::Acquire);
-                    let slot = (row as usize % self.rows_per_page) * dim;
-                    out[k * dim..(k + 1) * dim].copy_from_slice(&data[slot..slot + dim]);
-                    i += 1;
-                }
-            });
-        }
     }
 
     fn apply_grad(&self, row: u32, grad: &[f32], opt: &SparseOpt) -> u64 {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
-        self.assert_row(row);
-        let (page, slot) = self.locate(row);
         self.count_lock();
-        {
-            let mut st = self.state.lock();
-            self.with_page(&mut st, page, false, |t, st| {
-                Self::apply_to_page(st, page, slot, t.dim, grad, opt);
-            });
-        }
+        self.with_row(row, |st, page, slot| Self::apply_to_page(st, page, slot, grad, opt));
         self.clocks[row as usize].fetch_add(1, Ordering::AcqRel) + 1
     }
 
@@ -773,90 +834,42 @@ impl RowStore for TieredTable {
         clocks: &mut [u64],
         scratch: &mut BatchScratch,
     ) {
-        assert_eq!(
-            grads.len(),
-            rows.len() * self.dim,
-            "gradients length != rows * dim"
-        );
-        assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
-        for &row in rows {
-            self.assert_row(row);
-        }
-        scratch.group_by(rows, self.num_pages, |row| {
-            row as usize / self.rows_per_page
-        });
         let dim = self.dim;
-        let mut st = self.state.lock();
-        let perm = scratch.perm();
-        let mut i = 0;
-        while i < perm.len() {
-            let page = rows[perm[i] as usize] as usize / self.rows_per_page;
-            self.count_lock();
-            self.with_page(&mut st, page, false, |_, st| {
-                while i < perm.len() {
-                    let k = perm[i] as usize;
-                    let row = rows[k];
-                    if row as usize / self.rows_per_page != page {
-                        break;
-                    }
-                    let slot = (row as usize % self.rows_per_page) * dim;
-                    Self::apply_to_page(st, page, slot, dim, &grads[k * dim..(k + 1) * dim], opt);
-                    clocks[k] = self.clocks[row as usize].fetch_add(1, Ordering::AcqRel) + 1;
-                    i += 1;
-                }
-            });
-        }
+        assert_eq!(grads.len(), rows.len() * dim, "gradients length != rows * dim");
+        assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
+        self.for_each_page(rows, scratch, false, |st, page, _, group| {
+            for &k in group {
+                let (k, row) = (k as usize, rows[k as usize]);
+                let slot = (row as usize % self.rows_per_page) * dim;
+                Self::apply_to_page(st, page, slot, &grads[k * dim..(k + 1) * dim], opt);
+                clocks[k] = self.clocks[row as usize].fetch_add(1, Ordering::AcqRel) + 1;
+            }
+        });
     }
 
     fn write_row(&self, row: u32, values: &[f32]) {
         assert_eq!(values.len(), self.dim, "values length != dim");
-        self.assert_row(row);
-        let (page, slot) = self.locate(row);
         self.count_lock();
-        let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |t, st| {
+        self.with_row(row, |st, page, slot| {
             let pg = &mut st.pages[page];
-            let data = pg.data.as_mut().expect("page resident");
-            data[slot..slot + t.dim].copy_from_slice(values);
+            pg.data.as_mut().expect("page resident")[slot..slot + self.dim].copy_from_slice(values);
             pg.dirty = true;
         });
     }
 
     fn write_rows(&self, rows: &[u32], values: &[f32], scratch: &mut BatchScratch) {
-        assert_eq!(
-            values.len(),
-            rows.len() * self.dim,
-            "values length != rows * dim"
-        );
-        for &row in rows {
-            self.assert_row(row);
-        }
-        scratch.group_by(rows, self.num_pages, |row| {
-            row as usize / self.rows_per_page
-        });
         let dim = self.dim;
-        let mut st = self.state.lock();
-        let perm = scratch.perm();
-        let mut i = 0;
-        while i < perm.len() {
-            let page = rows[perm[i] as usize] as usize / self.rows_per_page;
-            self.count_lock();
-            self.with_page(&mut st, page, false, |_, st| {
-                let pg = &mut st.pages[page];
-                let data = pg.data.as_mut().expect("page resident");
-                while i < perm.len() {
-                    let k = perm[i] as usize;
-                    let row = rows[k];
-                    if row as usize / self.rows_per_page != page {
-                        break;
-                    }
-                    let slot = (row as usize % self.rows_per_page) * dim;
-                    data[slot..slot + dim].copy_from_slice(&values[k * dim..(k + 1) * dim]);
-                    i += 1;
-                }
-                pg.dirty = true;
-            });
-        }
+        assert_eq!(values.len(), rows.len() * dim, "values length != rows * dim");
+        self.for_each_page(rows, scratch, false, |st, page, _, group| {
+            let pg = &mut st.pages[page];
+            let data = pg.data.as_mut().expect("page resident");
+            for &k in group {
+                let k = k as usize;
+                let slot = (rows[k] as usize % self.rows_per_page) * dim;
+                data[slot..slot + dim].copy_from_slice(&values[k * dim..(k + 1) * dim]);
+            }
+            pg.dirty = true;
+        });
     }
 
     fn restore_row(&self, row: u32, values: &[f32], clock: u64) {
@@ -870,12 +883,9 @@ impl RowStore for TieredTable {
 
     fn read_accum(&self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "output buffer length != dim");
-        self.assert_row(row);
-        let (page, slot) = self.locate(row);
-        let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |t, st| match &st.pages[page].accum {
+        self.with_row(row, |st, page, slot| match &st.pages[page].accum {
             Some(a) => {
-                out.copy_from_slice(&a[slot..slot + t.dim]);
+                out.copy_from_slice(&a[slot..slot + self.dim]);
                 true
             }
             None => {
@@ -887,22 +897,11 @@ impl RowStore for TieredTable {
 
     fn restore_accum(&self, row: u32, values: &[f32]) {
         assert_eq!(values.len(), self.dim, "values length != dim");
-        self.assert_row(row);
-        let (page, slot) = self.locate(row);
-        let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |t, st| {
-            let len = st.pages[page].data.as_ref().expect("page resident").len();
-            let pg = &mut st.pages[page];
-            if pg.accum.is_none() {
-                pg.accum = Some(vec![0.0; len]);
-                if !pg.has_accum {
-                    pg.has_accum = true;
-                    st.resident_bytes += (len * 4) as u64;
-                }
-            }
+        self.with_row(row, |st, page, slot| {
+            Self::ensure_accum(st, page);
             let pg = &mut st.pages[page];
             let accum = pg.accum.as_mut().expect("accumulator allocated above");
-            accum[slot..slot + t.dim].copy_from_slice(values);
+            accum[slot..slot + self.dim].copy_from_slice(values);
             pg.dirty = true;
         });
     }
@@ -948,22 +947,9 @@ impl RowStore for TieredTable {
     // way.
 
     fn read_row_snapshot(&self, row: u32, out: &mut [f32]) -> u64 {
-        assert_eq!(out.len(), self.dim, "output buffer length != dim");
-        self.assert_row(row);
-        let clock = self.clock(row);
-        let (page, slot) = self.locate(row);
-        self.count_lock();
-        let mut st = self.state.lock();
-        let resident = st.pages[page].data.is_some();
-        self.with_page(&mut st, page, false, |t, st| {
-            let data = st.pages[page].data.as_ref().expect("page resident");
-            out.copy_from_slice(&data[slot..slot + t.dim]);
-        });
-        if resident {
-            self.snapshot_rows.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.fallback_rows.fetch_add(1, Ordering::Relaxed);
-        }
+        let (clock, resident) = self.read_one(row, out);
+        let counter = if resident { &self.snapshot_rows } else { &self.fallback_rows };
+        counter.fetch_add(1, Ordering::Relaxed);
         clock
     }
 
@@ -974,49 +960,13 @@ impl RowStore for TieredTable {
         clocks: &mut [u64],
         scratch: &mut BatchScratch,
     ) {
-        assert_eq!(
-            out.len(),
-            rows.len() * self.dim,
-            "output buffer length != rows * dim"
-        );
+        assert_eq!(out.len(), rows.len() * self.dim, "output buffer length != rows * dim");
         assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
-        for &row in rows {
-            self.assert_row(row);
-        }
-        scratch.group_by(rows, self.num_pages, |row| {
-            row as usize / self.rows_per_page
-        });
-        let dim = self.dim;
-        let mut st = self.state.lock();
-        let perm = scratch.perm();
         let (mut snapshots, mut fallbacks) = (0u64, 0u64);
-        let mut i = 0;
-        while i < perm.len() {
-            let page = rows[perm[i] as usize] as usize / self.rows_per_page;
-            self.count_lock();
-            let resident = st.pages[page].data.is_some();
-            let group_start = i;
-            self.with_page(&mut st, page, true, |_, st| {
-                let data = st.pages[page].data.as_ref().expect("page resident");
-                while i < perm.len() {
-                    let k = perm[i] as usize;
-                    let row = rows[k];
-                    if row as usize / self.rows_per_page != page {
-                        break;
-                    }
-                    clocks[k] = self.clocks[row as usize].load(Ordering::Acquire);
-                    let slot = (row as usize % self.rows_per_page) * dim;
-                    out[k * dim..(k + 1) * dim].copy_from_slice(&data[slot..slot + dim]);
-                    i += 1;
-                }
-            });
-            let group_rows = (i - group_start) as u64;
-            if resident {
-                snapshots += group_rows;
-            } else {
-                fallbacks += group_rows;
-            }
-        }
+        self.for_each_page(rows, scratch, true, |st, page, resident, group| {
+            self.copy_group(st, page, group, rows, out, clocks);
+            *if resident { &mut snapshots } else { &mut fallbacks } += group.len() as u64;
+        });
         if snapshots > 0 {
             self.snapshot_rows.fetch_add(snapshots, Ordering::Relaxed);
         }
@@ -1049,6 +999,20 @@ mod tests {
         }
     }
 
+    /// A table with a private spill dir, `budget_bytes` of RAM and
+    /// `rows_per_page`-row pages.
+    fn tiny_table(
+        num_rows: usize,
+        dim: usize,
+        init_scale: f32,
+        seed: u64,
+        budget_bytes: usize,
+        rows_per_page: usize,
+    ) -> TieredTable {
+        TieredTable::new(num_rows, dim, init_scale, seed, tiny_cfg(budget_bytes, rows_per_page))
+            .expect("spill file")
+    }
+
     fn read_all_bits(store: &dyn RowStore) -> Vec<u32> {
         let mut out = Vec::new();
         let mut buf = vec![0.0f32; store.dim()];
@@ -1063,7 +1027,7 @@ mod tests {
     fn init_bit_identical_to_sharded_table() {
         let mem = ShardedTable::new(300, 6, 0.05, 42);
         // 4 rows/page, budget of 2 pages => heavy spilling from the start.
-        let tiered = TieredTable::new(300, 6, 0.05, 42, tiny_cfg(2 * 4 * 6 * 4, 4));
+        let tiered = tiny_table(300, 6, 0.05, 42, 2 * 4 * 6 * 4, 4);
         assert_eq!(read_all_bits(&mem), read_all_bits(&tiered));
         assert!(tiered.spilled_bytes() > 0, "budget should force spilling");
     }
@@ -1071,7 +1035,7 @@ mod tests {
     #[test]
     fn eviction_and_reload_preserve_dirty_updates() {
         let budget = 2 * 4 * 4 * 4; // two 4-row dim-4 pages
-        let t = TieredTable::new(64, 4, 0.0, 1, tiny_cfg(budget, 4));
+        let t = tiny_table(64, 4, 0.0, 1, budget, 4);
         let opt = SparseOpt::sgd(0.5);
         // Touch every row so every page cycles through eviction at least
         // once with dirty contents.
@@ -1099,7 +1063,7 @@ mod tests {
         let grads: Vec<f32> = (0..rows.len() * dim).map(|i| i as f32 * 0.21 - 1.3).collect();
         for opt in [SparseOpt::sgd(0.07), SparseOpt::adagrad(0.5)] {
             let mem = ShardedTable::new(64, dim, 0.1, 9);
-            let tiered = TieredTable::new(64, dim, 0.1, 9, tiny_cfg(dim * 4 * 4, 2));
+            let tiered = tiny_table(64, dim, 0.1, 9, dim * 4 * 4, 2);
             let mut s1 = BatchScratch::default();
             let mut s2 = BatchScratch::default();
             let mut c1 = vec![0u64; rows.len()];
@@ -1135,7 +1099,7 @@ mod tests {
         // A checkpoint captured while some pages are spilled must be
         // byte-identical to one captured from the fully resident store.
         let mem = ShardedTable::new(96, 4, 0.1, 5);
-        let tiered = TieredTable::new(96, 4, 0.1, 5, tiny_cfg(3 * 4 * 4 * 4, 4));
+        let tiered = tiny_table(96, 4, 0.1, 5, 3 * 4 * 4 * 4, 4);
         let opt = SparseOpt::adagrad(0.3);
         for r in (0..96u32).step_by(7) {
             mem.apply_grad(r, &[0.5, -0.5, 1.0, 0.0], &opt);
@@ -1160,25 +1124,37 @@ mod tests {
             dir: Some(dir.clone()),
             rows_per_page: 4,
         };
-        let t = TieredTable::new(16, 4, 0.1, 3, cfg);
-        // Pages 1..4 are spilled at construction; their files verify clean.
-        let victim = t.spill_dir().join("page-000003.pg");
-        assert!(victim.exists(), "expected spilled page file");
-        TieredTable::verify_page_file(&victim).expect("intact file verifies");
+        let t = TieredTable::new(16, 4, 0.1, 3, cfg).expect("spill file");
+        let spill = dir.join(SPILL_FILE);
+        assert_eq!(fs::metadata(&spill).unwrap().len(), 4 * t.slot_bytes);
+        // Pages 1..4 are spilled at construction; their slots verify clean.
+        for page in 1..4 {
+            t.verify_page(page).expect("intact image verifies");
+        }
+        let image_len = image_len(4, 4, false);
+        let slot = |page: u64| page * t.slot_bytes;
+        let mut intact = vec![0u8; image_len];
+        t.file.read_exact_at(&mut intact, slot(3)).unwrap();
 
-        // A kill between write and fsync leaves a prefix of the image:
-        // truncation must flip the checksum.
-        let full = fs::read(&victim).unwrap();
-        fs::write(&victim, &full[..full.len() - 5]).unwrap();
-        let err = TieredTable::verify_page_file(&victim).unwrap_err();
-        assert!(err.contains("checksum") || err.contains("length"), "{err}");
+        // A torn write leaves the tail of the image unwritten: zeroing its
+        // last bytes must flip the checksum.
+        t.file.write_all_at(&[0u8; 5], slot(3) + image_len as u64 - 5).unwrap();
+        let err = t.verify_page(3).unwrap_err();
+        assert!(err.contains("checksum"), "{err}");
+
+        // Another page's image in this slot is rejected on the page id,
+        // even though its own checksum is intact.
+        let mut other = vec![0u8; image_len];
+        t.file.read_exact_at(&mut other, slot(2)).unwrap();
+        t.file.write_all_at(&other, slot(3)).unwrap();
+        let err = t.verify_page(3).unwrap_err();
+        assert!(err.contains("page id 2 != expected 3"), "{err}");
 
         // A corrupted byte mid-payload is equally rejected...
-        let mut flipped = full.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0xFF;
-        fs::write(&victim, &flipped).unwrap();
-        let err = TieredTable::verify_page_file(&victim).unwrap_err();
+        let mut flipped = intact.clone();
+        flipped[image_len / 2] ^= 0xFF;
+        t.file.write_all_at(&flipped, slot(3)).unwrap();
+        let err = t.verify_page(3).unwrap_err();
         assert!(err.contains("checksum"), "{err}");
 
         // ...and the fault path refuses to load it rather than serving
@@ -1188,13 +1164,31 @@ mod tests {
             t.read_row(3 * 4, &mut buf); // first row of page 3
         }));
         assert!(result.is_err(), "corrupt page load must not succeed");
+
+        // The spill file is process scratch: dropping the table removes
+        // it and leaves the caller's directory behind, empty.
         drop(t);
-        let _ = fs::remove_dir_all(&dir);
+        assert!(!spill.exists(), "spill file outlived its table");
+        fs::remove_dir(&dir).expect("caller's dir is left in place, empty");
+    }
+
+    #[test]
+    fn checksum_changes_with_any_single_byte() {
+        // 8-byte words plus a 3-byte tail: every position, word or tail,
+        // must move the hash.
+        let base: Vec<u8> = (0..35u8).collect();
+        let h = fnv1a(&base);
+        for i in 0..base.len() {
+            let mut b = base.clone();
+            b[i] ^= 0x01;
+            assert_ne!(fnv1a(&b), h, "flip at byte {i} went unnoticed");
+        }
     }
 
     #[test]
     fn resident_and_spilled_bytes_are_disjoint_and_complete() {
-        let t = TieredTable::new(100, 8, 0.1, 2, tiny_cfg(5 * 8 * 4, 5)); // 1-page budget
+        // 1-page budget
+        let t = tiny_table(100, 8, 0.1, 2, 5 * 8 * 4, 5);
         let stats = t.capacity_stats();
         let total_value_bytes = (100 * 8 * 4) as u64;
         assert_eq!(stats.resident_bytes + stats.spilled_bytes, total_value_bytes);
@@ -1217,7 +1211,7 @@ mod tests {
         let sweep: Vec<u32> = (0..pages as u32).cycle().take(40).collect();
 
         let faults_with = |plan: bool| {
-            let t = TieredTable::new(pages * rpp, dim, 0.1, 7, tiny_cfg(budget, rpp));
+            let t = tiny_table(pages * rpp, dim, 0.1, 7, budget, rpp);
             if plan {
                 t.set_epoch_plan(&sweep);
             }
@@ -1244,7 +1238,7 @@ mod tests {
         let rows: Vec<u32> = (0..48u32).rev().collect();
         let grads: Vec<f32> = (0..rows.len() * dim).map(|i| (i as f32).sin()).collect();
         let run = |plan: bool| {
-            let t = TieredTable::new(48, dim, 0.1, 11, tiny_cfg(2 * dim * 4 * 4, 4));
+            let t = tiny_table(48, dim, 0.1, 11, 2 * dim * 4 * 4, 4);
             if plan {
                 let seq: Vec<u32> = (0..t.num_pages() as u32).rev().collect();
                 t.set_epoch_plan(&seq);
@@ -1259,7 +1253,7 @@ mod tests {
 
     #[test]
     fn lock_acquisitions_amortised_per_page_group() {
-        let t = TieredTable::new(64, 4, 0.0, 1, tiny_cfg(usize::MAX, 8));
+        let t = tiny_table(64, 4, 0.0, 1, usize::MAX, 8);
         let rows: Vec<u32> = (0..64u32).collect(); // 8 pages, 8 rows each
         let mut scratch = BatchScratch::default();
         let mut out = vec![0.0f32; rows.len() * 4];

@@ -4,7 +4,7 @@
 //! hand duplicate row ids to a batched read.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use hetgmp_embedding::{
     BatchScratch, CachedWorkerEmbedding, ReadPath, ReadPathStats, RowStore, ShardedTable,
@@ -19,7 +19,9 @@ use proptest::prelude::*;
 /// coordinates equal) while readers hammer the snapshot path. Any torn read
 /// — a copy straddling a row mutation — would surface as a row whose
 /// coordinates disagree, because every consistent version of every row is
-/// uniform by construction.
+/// uniform by construction. The writer starts only once every reader has
+/// finished one snapshot pass, so reads and writes overlap by construction
+/// rather than by scheduling luck.
 #[test]
 fn snapshot_reads_never_observe_torn_rows() {
     const ROWS: usize = 512;
@@ -28,8 +30,10 @@ fn snapshot_reads_never_observe_torn_rows() {
     // init_scale 0.0: every row starts uniform (all zeros).
     let table = ShardedTable::new(ROWS, DIM, 0.0, 7);
     let stop = AtomicBool::new(false);
+    let start = Barrier::new(READERS + 1);
     std::thread::scope(|s| {
         s.spawn(|| {
+            start.wait();
             let opt = SparseOpt::sgd(1.0);
             let mut scratch = BatchScratch::default();
             let mut clocks = vec![0u64; 4];
@@ -54,6 +58,7 @@ fn snapshot_reads_never_observe_torn_rows() {
                 let mut out = vec![0.0f32; ROWS * DIM];
                 let mut clocks = vec![0u64; ROWS];
                 let mut row_buf = vec![0.0f32; DIM];
+                let mut first_pass = true;
                 while !stop.load(Ordering::Acquire) {
                     table.read_rows_snapshot(&all, &mut out, &mut clocks);
                     for (k, chunk) in out.chunks_exact(DIM).enumerate() {
@@ -70,6 +75,10 @@ fn snapshot_reads_never_observe_torn_rows() {
                         row_buf.iter().all(|v| v.to_bits() == first),
                         "torn row {probe}: {row_buf:?}"
                     );
+                    if first_pass {
+                        first_pass = false;
+                        start.wait();
+                    }
                 }
             });
         }
@@ -204,7 +213,7 @@ fn tiered_snapshot_matches_locked_and_counts_locks() {
         dir: None,
         rows_per_page: 32,
     };
-    let tiered = TieredTable::new(num_rows, dim, 0.1, 42, cfg);
+    let tiered = TieredTable::new(num_rows, dim, 0.1, 42, cfg).expect("spill file");
     let opt = SparseOpt::sgd(0.05);
     for r in (0..num_rows as u32).step_by(7) {
         tiered.apply_grad(r, &vec![0.5; dim], &opt);

@@ -66,6 +66,7 @@ fn tiny_tiered(num_rows: usize, dim: usize, seed: u64) -> TieredTable {
             rows_per_page: 4,
         },
     )
+    .expect("spill file")
 }
 
 /// Deterministic pseudo-gradient for (step, position, coordinate): the two

@@ -267,7 +267,7 @@ pub mod names {
     pub const TRACE_STAGE_PREFIX: &str = "trace.stage.";
 
     /// Counter: tiered-store page faults — cold pages loaded back from
-    /// their spill files into the resident buffer pool.
+    /// their spill-file slots into the resident buffer pool.
     pub const CAPACITY_FAULT_LOADS: &str = "capacity.fault.loads";
     /// Counter: resident pages evicted by the tiered buffer manager to
     /// stay inside the RAM budget.

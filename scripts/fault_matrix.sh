@@ -3,7 +3,8 @@
 # injected-failure classes — worker crash (with checkpointing), worker
 # stall, link degradation, crash under the int8 wire, and crash under
 # tiered storage — each under `--audit=strict`, so the bounded-staleness
-# invariant is machine-checked while faults fire.
+# invariant is machine-checked while faults fire; then a real I/O failure
+# (an unusable spill directory) that must exit 74 without a panic.
 #
 # Run from the repo root (make verify does). Builds nothing: expects
 # `cargo build --release` to have produced target/release/het-gmp.
@@ -78,8 +79,8 @@ grep -q 'faults: 1 crash' "$TMP/crash-int8.log" || {
 #      - resuming the crash run's checkpoint lands on the same bits whether
 #        the resumed table is tiered or fully in memory (the image is
 #        tier-agnostic, so recovery never depends on where rows lived).
-#    Torn spill files — a kill between write and fsync — are rejected by
-#    the page checksum; that path is pinned by the
+#    Torn or misplaced page images in the spill file are rejected by the
+#    page checksum and header; that path is pinned by the
 #    torn_spill_file_detected_and_rejected unit test in hetgmp-embedding.
 TIERED="--preset criteo --scale 0.5 --storage tiered --storage-budget-mb 1"
 final_auc() {
@@ -134,4 +135,24 @@ memory=$(final_auc "$TMP/resume-crash-memory.jsonl")
     exit 1
 }
 
-echo "fault_matrix: OK (crash, stall, degrade, int8-crash, tiered-crash all recovered under strict audit)"
+# 6. Unusable spill directory: a --storage-dir below a regular file cannot
+#    be created (ENOTDIR), which is a real I/O failure even for root (a
+#    chmod-ed directory is not). The run must exit 74 (sysexits EX_IOERR)
+#    with an error message, not a panic.
+echo "fault_matrix: spill-dir-ioerror"
+: > "$TMP/not-a-dir"
+code=0
+"$BIN" train $COMMON $TIERED --storage-dir "$TMP/not-a-dir/spill" \
+    > "$TMP/spill-dir-ioerror.log" 2>&1 || code=$?
+[ "$code" -eq 74 ] || {
+    echo "fault_matrix: unusable spill dir exited $code, expected 74" >&2
+    cat "$TMP/spill-dir-ioerror.log" >&2
+    exit 1
+}
+if grep -q 'panicked' "$TMP/spill-dir-ioerror.log"; then
+    echo "fault_matrix: unusable spill dir panicked instead of failing cleanly" >&2
+    cat "$TMP/spill-dir-ioerror.log" >&2
+    exit 1
+fi
+
+echo "fault_matrix: OK (crash, stall, degrade, int8-crash, tiered-crash all recovered under strict audit; unusable spill dir exits 74)"
